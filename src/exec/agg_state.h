@@ -25,8 +25,11 @@ namespace jsontiles::exec {
 /// group's hash is stable across processes.
 inline constexpr uint64_t kKeyHashSeed = 0x2545F4914F6CDD1DULL;
 
-/// Estimated hash-table cost per row beyond its Values: bucket entry, per-row
-/// key vector header, map node slack. Used for memory-budget charges.
+/// Estimated hash-table cost per row beyond its key Values, for memory-budget
+/// charges. A join charges it for every row of both inputs: each holds a row
+/// hash and a null flag, each hashed row a chain link and two to four
+/// bucket-head slots (21-29 bytes in all). Aggregation charges it per group for the
+/// group map's node and bucket entry. Rounded up so charges over-estimate.
 inline constexpr size_t kPerRowTableOverhead = 64;
 
 /// A total order refining Value::Compare for values that compare equal:

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <deque>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "exec/agg_state.h"
 #include "exec/expr_compile.h"
@@ -83,15 +82,6 @@ class ArenaCounter {
   QueryContext& ctx_;
   size_t before_;
 };
-
-bool KeysEqual(const std::vector<Value>& a, const std::vector<Value>& b) {
-  for (size_t i = 0; i < a.size(); i++) {
-    // Join keys: SQL equality — null never matches null.
-    if (a[i].is_null() || b[i].is_null()) return false;
-    if (!a[i].EqualsForGrouping(b[i])) return false;
-  }
-  return true;
-}
 
 // Infer the static type of every slot in `slots` from a full pass over the
 // rows (an all-null slot stays kNull). Returns false — disabling compiled
@@ -652,150 +642,195 @@ struct JoinSpec {
   size_t build_width;
 };
 
-// One hash join entirely in memory. When `res` is non-null it is grown for
-// the build-side scratch (key values + hash table) as it accumulates; on a
-// refused charge the partial state is dropped, *aborted is set and the
+// End of a hash chain (row indices are uint32_t).
+constexpr uint32_t kNoRow = UINT32_MAX;
+
+// Join keys of a run of rows: `width` Values per row in one row-major array,
+// the kKeyHashSeed-chained hash of each row, and whether any key of the row
+// is null (SQL equality: such a row never matches).
+struct JoinKeys {
+  JoinKeys(size_t width, size_t rows)
+      : width(width), values(rows * width), hash(rows), has_null(rows) {}
+
+  const Value* row(size_t r) const { return values.data() + r * width; }
+
+  size_t width;
+  std::vector<Value> values;
+  std::vector<uint64_t> hash;
+  std::vector<uint8_t> has_null;
+};
+
+bool KeyRowsEqual(const Value* a, const Value* b, size_t width) {
+  for (size_t i = 0; i < width; i++) {
+    if (!a[i].EqualsForGrouping(b[i])) return false;
+  }
+  return true;
+}
+
+std::vector<int> SlotRefs(const std::vector<ExprPtr>& exprs) {
+  std::vector<int> slots;
+  for (const ExprPtr& e : exprs) {
+    slots.push_back(e->kind == ExprKind::kSlotRef ? e->slot : -1);
+  }
+  return slots;
+}
+
+// The key expressions of one join input. A key that is a plain slot
+// reference (the planner's usual key) is read straight from the row; any
+// other key is evaluated batch-at-a-time through the compiled engine, its
+// integer-typed lanes hashed with the SIMD batch kernels. Hashes are
+// bit-identical to folding Value::Hash() per key — int/bool/timestamp lanes
+// hash as HashInt of the payload and null lanes as Value::Null().Hash() — so
+// both join inputs and the spill router agree. Copy per worker, like
+// BatchedExprs.
+class JoinKeyEvaluator {
+ public:
+  JoinKeyEvaluator(const RowSet& rows, const std::vector<ExprPtr>& exprs,
+                   bool vectorized)
+      : slots_(SlotRefs(exprs)),
+        batched_(rows, RawExprs(exprs),
+                 vectorized &&
+                     std::count(slots_.begin(), slots_.end(), -1) > 0) {}
+
+  /// Evaluates rows [base, base + n) (n <= kVectorSize) into key rows
+  /// [dst, dst + n). Returns the bytes of string keys.
+  size_t Eval(const RowSet& rows, size_t base, size_t n, Arena* arena,
+              JoinKeys* keys, size_t dst) {
+    const size_t width = slots_.size();
+    size_t string_bytes = 0;
+    uint64_t hacc[kVectorSize];
+    uint64_t hkey[kVectorSize];
+    if (batched_.enabled()) batched_.LoadBatch(rows, base, n, arena);
+    std::fill(hacc, hacc + n, kKeyHashSeed);
+    std::fill_n(keys->has_null.begin() + dst, n, 0);
+    for (size_t j = 0; j < width; j++) {
+      const int slot = slots_[j];
+      const ColumnVector* col = slot < 0 ? batched_.Result(j) : nullptr;
+      const bool batch_hashed =
+          col != nullptr && simd::UseSimd() &&
+          (col->type() == ValueType::kInt || col->type() == ValueType::kBool ||
+           col->type() == ValueType::kTimestamp);
+      if (batch_hashed) {
+        simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
+                           hkey, n);
+        simd::HashCombineBatch(hacc, hkey, n);
+      }
+      for (size_t k = 0; k < n; k++) {
+        const Row& row = rows[base + k];
+        const Value v = slot >= 0 ? row[slot] : batched_.Get(j, k, row, arena);
+        keys->has_null[dst + k] |= static_cast<uint8_t>(v.is_null());
+        if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
+        if (v.type == ValueType::kString) string_bytes += v.s.size();
+        keys->values[(dst + k) * width + j] = v;
+      }
+    }
+    std::copy(hacc, hacc + n, keys->hash.begin() + dst);
+    return string_bytes;
+  }
+
+ private:
+  std::vector<int> slots_;
+  BatchedExprs batched_;
+};
+
+// One hash join entirely in memory. Inner joins hash the input with fewer
+// rows (HashJoinBuildsOnProbe); residual and output rows keep the caller's
+// [probe..., build...] layout either way. When `res` is non-null it is grown
+// for the table as it is built; on a refused charge *aborted is set and the
 // function returns OK — the caller then takes the spill path. With a null
-// `res` the table grows freely (the forced path at the spill depth cap).
+// `res` nothing is charged (the forced path at the spill depth cap).
 Status InMemoryJoin(const RowSet& build, const RowSet& probe,
                     const JoinSpec& spec, QueryContext& ctx,
                     BudgetReservation* res, bool* aborted, RowSet* out) {
   *aborted = false;
-  const std::vector<ExprPtr>& build_keys = spec.build_keys;
-  const std::vector<ExprPtr>& probe_keys = spec.probe_keys;
-  const JoinType type = spec.type;
-  const ExprPtr& residual = spec.residual;
-  Arena* arena = ctx.arena(0);
+  const bool swap =
+      HashJoinBuildsOnProbe(spec.type, build.size(), probe.size());
+  const RowSet& hashed = swap ? probe : build;
+  const RowSet& probed = swap ? build : probe;
+  JSONTILES_CHECK(hashed.size() < kNoRow);
+  const size_t width = spec.build_keys.size();
+  const bool vectorized = ctx.options().enable_vectorized;
 
-  // Build phase: evaluate the build keys batch-at-a-time through the
-  // compiled engine and hash integer-typed key lanes with the SIMD batch
-  // kernels. Hashes are bit-identical to the scalar per-Value path —
-  // int/bool/timestamp lanes hash as HashInt of the payload and null lanes
-  // as Value::Null().Hash() — so probe lookups are unaffected. Rows insert
-  // in a second pass after an exact reserve (only non-null-key rows count).
-  std::unordered_map<uint64_t, std::vector<size_t>> table;
-  std::vector<std::vector<Value>> build_key_values;
-  build_key_values.reserve(build.size());
-  std::vector<uint64_t> row_hash(build.size());
-  std::vector<uint8_t> row_has_null(build.size(), 0);
+  // A table entry and the key Values are charged for the rows of both
+  // inputs, whichever one is hashed, so whether a memory limit spills does
+  // not hinge on the build-side choice.
+  if (res != nullptr &&
+      !res->Grow((build.size() + probe.size()) *
+                 (kPerRowTableOverhead + width * sizeof(Value)))) {
+    *aborted = true;
+    return Status::OK();
+  }
+  // Flat chained table: head[] holds the first row of each power-of-two
+  // bucket, next[] the following row of the same bucket.
+  JoinKeys hkeys(width, hashed.size());
+  std::vector<uint32_t> head(
+      std::bit_ceil(std::max<size_t>(2 * hashed.size(), 1)), kNoRow);
+  std::vector<uint32_t> next(hashed.size());
+  const uint64_t mask = head.size() - 1;
   {
     JSONTILES_TRACE_SPAN("exec.join.build");
-    BatchedExprs batched(build, RawExprs(build_keys),
-                         ctx.options().enable_vectorized);
-    uint64_t hacc[kVectorSize];
-    uint64_t hkey[kVectorSize];
-    for (size_t base = 0; base < build.size(); base += kVectorSize) {
-      const size_t n = std::min(kVectorSize, build.size() - base);
-      const BatchedExprs* cur = nullptr;
-      if (batched.enabled()) {
-        batched.LoadBatch(build, base, n, arena);
-        cur = &batched;
-      }
-      size_t batch_bytes =
-          n * (kPerRowTableOverhead + build_keys.size() * sizeof(Value));
-      for (size_t k = 0; k < n; k++) {
-        hacc[k] = kKeyHashSeed;
-        build_key_values.emplace_back();
-        build_key_values.back().reserve(build_keys.size());
-      }
-      for (size_t j = 0; j < build_keys.size(); j++) {
-        const ColumnVector* col = cur != nullptr ? cur->Result(j) : nullptr;
-        const bool batch_hashed =
-            col != nullptr && simd::UseSimd() &&
-            (col->type() == ValueType::kInt ||
-             col->type() == ValueType::kBool ||
-             col->type() == ValueType::kTimestamp);
-        if (batch_hashed) {
-          simd::HashI64Batch(col->i64(), col->nulls(), Value::Null().Hash(),
-                             hkey, n);
-          simd::HashCombineBatch(hacc, hkey, n);
-        }
-        for (size_t k = 0; k < n; k++) {
-          Value v = cur != nullptr
-                        ? cur->Get(j, k, build[base + k], arena)
-                        : EvalExpr(*build_keys[j], build[base + k].data(),
-                                   arena);
-          row_has_null[base + k] |= static_cast<uint8_t>(v.is_null());
-          if (!batch_hashed) hacc[k] = HashCombine(hacc[k], v.Hash());
-          if (v.type == ValueType::kString) batch_bytes += v.s.size();
-          build_key_values[base + k].push_back(v);
-        }
-      }
-      for (size_t k = 0; k < n; k++) row_hash[base + k] = hacc[k];
-      if (res != nullptr && !res->Grow(batch_bytes)) {
+    JoinKeyEvaluator eval(hashed, swap ? spec.probe_keys : spec.build_keys,
+                          vectorized);
+    for (size_t base = 0; base < hashed.size(); base += kVectorSize) {
+      const size_t n = std::min(kVectorSize, hashed.size() - base);
+      const size_t string_bytes =
+          eval.Eval(hashed, base, n, ctx.arena(0), &hkeys, base);
+      if (res != nullptr && !res->Grow(string_bytes)) {
         *aborted = true;
         return Status::OK();
       }
     }
-    size_t insertable = 0;
-    for (size_t b = 0; b < build.size(); b++) {
-      insertable += row_has_null[b] == 0;
-    }
-    table.reserve(insertable * 2);
-    for (size_t b = 0; b < build.size(); b++) {
-      if (row_has_null[b]) continue;  // null keys never match
-      table[row_hash[b]].push_back(b);
+    // Inserting in reverse leaves every chain in ascending row order, so
+    // each probe row meets its matches in input order. Null-key rows never
+    // match and stay out of the table.
+    for (size_t r = hashed.size(); r-- > 0;) {
+      if (hkeys.has_null[r]) continue;
+      uint32_t& first = head[hkeys.hash[r] & mask];
+      next[r] = first;
+      first = static_cast<uint32_t>(r);
     }
   }
-  const size_t build_width = spec.build_width;
 
-  // Probe phase (parallel chunks); probe keys evaluate batch-at-a-time with
-  // compiled programs when possible. Each worker runs a private copy of the
-  // compiled state; type inference runs once here.
-  BatchedExprs probe_master(probe, RawExprs(probe_keys),
-                            ctx.options().enable_vectorized);
-  auto probe_chunk = [&](size_t begin, size_t end, Arena* worker_arena,
-                         RowSet* out, BatchedExprs* batched) {
+  // Probe phase (parallel chunks); each worker evaluates its probe keys a
+  // batch at a time on a private copy of the evaluator.
+  const JoinType type = spec.type;
+  JoinKeyEvaluator probe_master(
+      probed, swap ? spec.build_keys : spec.probe_keys, vectorized);
+  auto probe_chunk = [&](size_t begin, size_t end, Arena* arena, RowSet* out,
+                         JoinKeyEvaluator* eval) {
     JSONTILES_TRACE_SPAN("exec.join.probe");
+    JoinKeys pkeys(width, kVectorSize);
     std::vector<Value> combined;
-    std::vector<Value> pkeys;
-    pkeys.reserve(probe_keys.size());
     for (size_t base = begin; base < end; base += kVectorSize) {
       const size_t n = std::min(kVectorSize, end - base);
-      const BatchedExprs* cur = nullptr;
-      if (batched->enabled()) {
-        batched->LoadBatch(probe, base, n, worker_arena);
-        cur = batched;
-      }
+      eval->Eval(probed, base, n, arena, &pkeys, 0);
       for (size_t k = 0; k < n; k++) {
-        const Row& prow = probe[base + k];
-        pkeys.clear();
-        uint64_t h = kKeyHashSeed;
-        bool has_null = false;
-        for (size_t j = 0; j < probe_keys.size(); j++) {
-          Value v = cur != nullptr
-                        ? cur->Get(j, k, prow, worker_arena)
-                        : EvalExpr(*probe_keys[j], prow.data(), worker_arena);
-          has_null |= v.is_null();
-          h = HashCombine(h, v.Hash());
-          pkeys.push_back(v);
-        }
+        const Row& prow = probed[base + k];
         bool matched = false;
-        if (!has_null) {
-          auto it = table.find(h);
-          if (it != table.end()) {
-            for (size_t b : it->second) {
-              if (!KeysEqual(build_key_values[b], pkeys)) continue;
-              // Residual predicate over [probe..., build...].
-              if (residual != nullptr) {
-                combined.assign(prow.begin(), prow.end());
-                combined.insert(combined.end(), build[b].begin(),
-                                build[b].end());
-                Value keep = EvalExpr(*residual, combined.data(), worker_arena);
-                if (keep.is_null() || !keep.bool_value()) continue;
-              }
-              matched = true;
-              if (type == JoinType::kInner || type == JoinType::kLeft) {
-                Row out_row;
-                out_row.reserve(prow.size() + build_width);
-                out_row.insert(out_row.end(), prow.begin(), prow.end());
-                out_row.insert(out_row.end(), build[b].begin(),
-                               build[b].end());
-                out->push_back(std::move(out_row));
-              } else {
-                break;  // semi/anti need only existence
-              }
+        if (!pkeys.has_null[k]) {
+          const uint64_t h = pkeys.hash[k];
+          for (uint32_t b = head[h & mask]; b != kNoRow; b = next[b]) {
+            if (hkeys.hash[b] != h ||
+                !KeyRowsEqual(hkeys.row(b), pkeys.row(k), width)) {
+              continue;
             }
+            const Row& left = swap ? hashed[b] : prow;
+            const Row& right = swap ? prow : hashed[b];
+            if (spec.residual != nullptr) {
+              combined.assign(left.begin(), left.end());
+              combined.insert(combined.end(), right.begin(), right.end());
+              Value keep = EvalExpr(*spec.residual, combined.data(), arena);
+              if (keep.is_null() || !keep.bool_value()) continue;
+            }
+            matched = true;
+            if (type == JoinType::kSemi || type == JoinType::kAnti) {
+              break;  // semi/anti need only existence
+            }
+            Row out_row;
+            out_row.reserve(left.size() + right.size());
+            out_row.insert(out_row.end(), left.begin(), left.end());
+            out_row.insert(out_row.end(), right.begin(), right.end());
+            out->push_back(std::move(out_row));
           }
         }
         switch (type) {
@@ -804,11 +839,9 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
           case JoinType::kLeft:
             if (!matched) {
               Row out_row;
-              out_row.reserve(prow.size() + build_width);
+              out_row.reserve(prow.size() + spec.build_width);
               out_row.insert(out_row.end(), prow.begin(), prow.end());
-              for (size_t i = 0; i < build_width; i++) {
-                out_row.push_back(Value::Null());
-              }
+              out_row.resize(prow.size() + spec.build_width, Value::Null());
               out->push_back(std::move(out_row));
             }
             break;
@@ -824,21 +857,21 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
   };
 
   const size_t parallel_threshold = 16384;
-  if (ctx.pool() != nullptr && probe.size() >= parallel_threshold) {
+  if (ctx.pool() != nullptr && probed.size() >= parallel_threshold) {
     size_t workers = ctx.num_workers();
     std::vector<RowSet> partials(workers);
-    std::vector<BatchedExprs> worker_batched(workers, probe_master);
-    size_t chunk = (probe.size() + workers - 1) / workers;
+    std::vector<JoinKeyEvaluator> worker_eval(workers, probe_master);
+    size_t chunk = (probed.size() + workers - 1) / workers;
     JSONTILES_RETURN_NOT_OK(ctx.pool()->ParallelForStatus(
         workers,
         [&](size_t w, size_t) -> Status {
           JSONTILES_FAILPOINT_RETURN("exec.join.probe.worker");
           if (ctx.cancelled()) return Status::OK();
           size_t begin = w * chunk;
-          size_t end = std::min(begin + chunk, probe.size());
+          size_t end = std::min(begin + chunk, probed.size());
           if (begin < end) {
             probe_chunk(begin, end, ctx.arena(w), &partials[w],
-                        &worker_batched[w]);
+                        &worker_eval[w]);
           }
           return Status::OK();
         },
@@ -851,7 +884,7 @@ Status InMemoryJoin(const RowSet& build, const RowSet& probe,
     }
     return Status::OK();
   }
-  probe_chunk(0, probe.size(), arena, out, &probe_master);
+  probe_chunk(0, probed.size(), ctx.arena(0), out, &probe_master);
   return Status::OK();
 }
 
@@ -973,6 +1006,11 @@ Status JoinImpl(const RowSet& build, const RowSet& probe, const JoinSpec& spec,
 
 }  // namespace
 
+bool HashJoinBuildsOnProbe(JoinType type, size_t build_rows,
+                           size_t probe_rows) {
+  return type == JoinType::kInner && probe_rows < build_rows;
+}
+
 RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                     const std::vector<ExprPtr>& build_keys,
                     const std::vector<ExprPtr>& probe_keys, JoinType type,
@@ -985,8 +1023,13 @@ RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                                                     : "anti";
   obs::OperatorProfiler prof(ctx.profile, "HashJoin", join_name);
   prof.set_rows_in(build.size() + probe.size());
-  prof.AddCounter("build_rows", static_cast<int64_t>(build.size()));
-  prof.AddCounter("probe_rows", static_cast<int64_t>(probe.size()));
+  // The side actually hashed (a spill partition decides again on its own
+  // row counts).
+  const bool swap = HashJoinBuildsOnProbe(type, build.size(), probe.size());
+  prof.AddCounter("build_rows",
+                  static_cast<int64_t>(swap ? probe.size() : build.size()));
+  prof.AddCounter("probe_rows",
+                  static_cast<int64_t>(swap ? build.size() : probe.size()));
   ArenaCounter arena_counter(prof, ctx);
   if (ctx.cancelled()) return {};
 

@@ -52,11 +52,18 @@ enum class JoinType : uint8_t { kInner, kLeft, kSemi, kAnti };
 /// Hash join. Output rows are [probe row..., build row...] for inner/left
 /// (build columns null for unmatched left rows); semi/anti emit the probe
 /// row only. `residual` (may be null) is evaluated on the combined row; for
-/// semi/anti it decides whether a key match counts.
+/// semi/anti it decides whether a key match counts. Which input is hashed
+/// is the join's own choice (HashJoinBuildsOnProbe); the output layout does
+/// not depend on it.
 RowSet HashJoinExec(const RowSet& build, const RowSet& probe,
                     const std::vector<ExprPtr>& build_keys,
                     const std::vector<ExprPtr>& probe_keys, JoinType type,
                     const ExprPtr& residual, QueryContext& ctx);
+
+/// Whether HashJoinExec hashes its `probe` input rather than `build`. Inner
+/// joins hash whichever input has fewer rows (ties hash `build`); left, semi
+/// and anti joins always hash `build`.
+bool HashJoinBuildsOnProbe(JoinType type, size_t build_rows, size_t probe_rows);
 
 struct SortKey {
   ExprPtr expr;

@@ -452,15 +452,19 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& option
     if (!residuals.empty()) {
       residual = exec::RewriteAccessesToSlots(exec::And(residuals), global_slot_fn);
     }
+    const bool acc_hashed = exec::HashJoinBuildsOnProbe(
+        exec::JoinType::kInner, scanned[t].size(), acc.size());
     acc = exec::HashJoinExec(scanned[t], acc, build_keys, probe_keys,
                              exec::JoinType::kInner, residual, ctx);
     scanned[t].clear();
     if (ctx.cancelled()) return {};
     if (profile != nullptr) {
-      // Probe (the accumulated plan so far) first, build scan second.
+      // Probed input first, hashed input second.
       int join_id = profile->last_id();
-      profile->op(join_id).children.push_back(profile->root());
-      profile->op(join_id).children.push_back(scan_node[t]);
+      std::vector<int>& children = profile->op(join_id).children;
+      children.push_back(profile->root());
+      children.push_back(scan_node[t]);
+      if (acc_hashed) std::swap(children[0], children[1]);
       profile->SetRoot(join_id);
     }
   }

@@ -77,7 +77,7 @@ class Reader {
   }
   bool Bytes(const uint8_t** data, size_t* size) {
     uint64_t n;
-    if (!Varint(&n) || pos_ + n > size_) return false;
+    if (!Varint(&n) || n > size_ - pos_) return false;
     *data = data_ + pos_;
     *size = n;
     pos_ += n;
@@ -114,9 +114,10 @@ Status ReadVec(Reader& r, std::vector<T>* out) {
   const uint8_t* p;
   size_t n;
   JT_READ(r.Bytes(&p, &n));
-  JT_READ(n == count * sizeof(T));
+  // Divide before multiplying: a hostile count must not wrap the product.
+  JT_READ(n % sizeof(T) == 0 && count == n / sizeof(T));
   out->resize(count);
-  std::memcpy(out->data(), p, n);
+  if (n > 0) std::memcpy(out->data(), p, n);
   return Status::OK();
 }
 
@@ -135,7 +136,7 @@ Status ReadBitVec(Reader& r, std::vector<bool>* out) {
   const uint8_t* p;
   size_t n;
   JT_READ(r.Bytes(&p, &n));
-  JT_READ(n == (count + 7) / 8);
+  JT_READ(count / 8 + (count % 8 != 0) == n);
   out->assign(count, false);
   for (size_t i = 0; i < count; i++) {
     if (p[i / 8] & (1u << (i % 8))) (*out)[i] = true;
@@ -283,6 +284,7 @@ Status ReadTile(Reader& r, tiles::Tile* tile) {
   uint64_t inserted;
   JT_READ(r.Varint(&inserted));
   tile->RestoreSeenPaths(BloomFilter::Restore(std::move(words), inserted));
+  // The restored filter already holds the column paths.
   tile->BuildColumnIndex();
   return Status::OK();
 }

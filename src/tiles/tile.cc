@@ -33,10 +33,6 @@ void Tile::BuildColumnIndex() {
   column_index_.clear();
   for (size_t i = 0; i < columns.size(); i++) {
     column_index_[columns[i].path] = i;
-    // Prefixes of extracted paths are "seen" for skipping purposes.
-    ForEachPathPrefix(columns[i].path, [this](std::string_view prefix) {
-      seen_paths_.InsertString(prefix);
-    });
   }
 }
 

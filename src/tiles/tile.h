@@ -75,6 +75,8 @@ class Tile {
   /// tiles that contain the data under longer leaf paths.
   void AddSeenPath(std::string_view path);
 
+  /// (Re)build the path -> column lookup. Leaves the bloom filter alone:
+  /// the builder adds the column paths to it, a reader restores it whole.
   void BuildColumnIndex();
 
   /// Serialization support for the header bloom filter.

@@ -332,6 +332,8 @@ Tile TileBuilder::BuildFromItems(const std::vector<json::JsonbValue>& docs,
   }
 
   tile.BuildColumnIndex();
+  // Prefixes of extracted paths are "seen" for skipping purposes.
+  for (const auto& col : tile.columns) tile.AddSeenPath(col.path);
 
   // §4.4: non-extracted key paths that actually occur in this tile go into
   // the header bloom filter. (The dictionary may be a projection of a whole

@@ -1,5 +1,6 @@
 #include "storage/serialize.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -9,6 +10,7 @@
 #include "opt/query.h"
 #include "storage/loader.h"
 #include "util/random.h"
+#include "workload/tpch.h"
 #include "workload/twitter.h"
 
 namespace jsontiles::storage {
@@ -181,6 +183,96 @@ TEST(SerializeTest, CorruptionRejected) {
     (void)result;
   }
   EXPECT_FALSE(LoadRelation("/nonexistent/path.bin").ok());
+}
+
+// Counts and lengths in a relation file are varints read before the bytes
+// they describe. Values near 2^64 must be rejected without wrapping the
+// arithmetic that checks them (and without allocating what they claim).
+TEST(SerializeTest, HostileCountsRejected) {
+  constexpr int64_t kFirst = 0x1122334455667700;
+  std::vector<std::string> docs;
+  for (int64_t i = 0; i < 100; i++) {
+    docs.push_back(R"({"a":)" + std::to_string(kFirst + i) + "}");
+  }
+  Loader loader(StorageMode::kTiles, {});
+  auto rel = loader.Load(docs, "v").MoveValueOrDie();
+  std::vector<uint8_t> bytes;
+  ASSERT_TRUE(SerializeRelation(*rel, &bytes).ok());
+  ASSERT_TRUE(DeserializeRelation(bytes.data(), bytes.size()).ok());
+
+  // Replaces bytes [pos, pos + len) and expects a clean parse error.
+  auto expect_rejected = [&](size_t pos, size_t len,
+                             std::vector<uint8_t> with, const char* what) {
+    std::vector<uint8_t> bad(bytes.begin(), bytes.begin() + pos);
+    bad.insert(bad.end(), with.begin(), with.end());
+    bad.insert(bad.end(), bytes.begin() + pos + len, bytes.end());
+    auto result = DeserializeRelation(bad.data(), bad.size());
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), StatusCode::kParseError) << what;
+  };
+  const std::vector<uint8_t> kTwoPow61 = {0x80, 0x80, 0x80, 0x80, 0x80,
+                                          0x80, 0x80, 0x80, 0x20};
+  const std::vector<uint8_t> kMaxU64 = {0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                        0xFF, 0xFF, 0xFF, 0xFF, 0x01};
+
+  // Name length (after magic, version and mode): 2^64 - 1 wraps the reader's
+  // position check.
+  ASSERT_EQ(bytes[6], 1);
+  expect_rejected(6, 1, kMaxU64, "string length");
+
+  // The extracted column's int64 vector: varint 100, varint 800, then the
+  // values little-endian. A count of 2^61 makes count * 8 wrap to 0, so
+  // pair it with an empty payload.
+  std::vector<uint8_t> vec = {100, 0xA0, 0x06};
+  for (int b = 0; b < 8; b++) {
+    vec.push_back(
+        static_cast<uint8_t>(static_cast<uint64_t>(kFirst) >> (8 * b)));
+  }
+  auto at = std::search(bytes.begin(), bytes.end(), vec.begin(), vec.end());
+  ASSERT_NE(at, bytes.end());
+  const size_t pos = static_cast<size_t>(at - bytes.begin());
+  std::vector<uint8_t> empty_vec = kTwoPow61;
+  empty_vec.push_back(0);
+  expect_rejected(pos, 3 + 800, empty_vec, "vector count");
+
+  // Just before it, the column's validity bits: varint 100, varint 13, then
+  // 13 bytes. A count of 2^64 - 1 makes (count + 7) / 8 wrap to 0.
+  ASSERT_GE(pos, 15u);
+  ASSERT_EQ(bytes[pos - 15], 100);
+  ASSERT_EQ(bytes[pos - 14], 13);
+  std::vector<uint8_t> empty_bits = kMaxU64;
+  empty_bits.push_back(0);
+  expect_rejected(pos - 15, 15, empty_bits, "bit vector count");
+}
+
+// Opening a relation restores each tile's bloom filter as written; it must
+// not add the column paths a second time, or the inserted count drifts with
+// every save/open cycle.
+TEST(SerializeTest, ReopenedTpchTilesSerializeIdentically) {
+  workload::TpchOptions options;
+  options.scale_factor = 0.002;
+  const workload::TpchData data = workload::GenerateTpch(options);
+  Loader loader(StorageMode::kTiles, {});
+  auto rel = loader.Load(data.combined, "tpch").MoveValueOrDie();
+  std::vector<uint8_t> before;
+  ASSERT_TRUE(SerializeRelation(*rel, &before).ok());
+
+  std::string path = ::testing::TempDir() + "/jsontiles_reopen_test.bin";
+  ASSERT_TRUE(SaveRelation(*rel, path).ok());
+  auto back = LoadRelation(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const Relation& reopened = *back.ValueOrDie();
+  ASSERT_EQ(reopened.tiles().size(), rel->tiles().size());
+  for (size_t t = 0; t < rel->tiles().size(); t++) {
+    EXPECT_EQ(reopened.tiles()[t].seen_paths().num_inserted(),
+              rel->tiles()[t].seen_paths().num_inserted())
+        << "tile " << t;
+  }
+  std::vector<uint8_t> after;
+  ASSERT_TRUE(SerializeRelation(reopened, &after).ok());
+  EXPECT_EQ(after.size(), before.size());
+  EXPECT_TRUE(after == before);
 }
 
 }  // namespace
