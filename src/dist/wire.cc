@@ -282,7 +282,7 @@ Status DecodeFrame(const uint8_t* data, size_t size, size_t* consumed,
   payload->resize(raw_size);
   if (comp_size != 0) {
     WIRE_READ(lz4::Decompress(wire, comp_size, payload->data(), raw_size));
-  } else {
+  } else if (raw_size > 0) {
     std::memcpy(payload->data(), wire, raw_size);
   }
   *type = static_cast<FrameType>(type_raw);
@@ -321,7 +321,7 @@ Status ReadFrame(int fd, int idle_timeout_ms, int frame_timeout_ms,
   if (comp_size != 0) {
     WIRE_READ(lz4::Decompress(wire.data(), comp_size, payload->data(),
                               raw_size));
-  } else {
+  } else if (raw_size > 0) {
     std::memcpy(payload->data(), wire.data(), raw_size);
   }
   *type = static_cast<FrameType>(type_raw);
@@ -878,23 +878,21 @@ Status DecodeAccumulator(WireReader* r, Arena* arena,
 }  // namespace
 
 void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
-                      const exec::AggGroupMap& groups,
+                      const exec::GroupTable& groups,
                       const std::vector<exec::AggSpec>& aggs,
                       std::vector<uint8_t>* out) {
   WireWriter w(out);
   w.U32(fragment_id);
   w.U32(epoch);
-  size_t num_groups = 0;
-  for (const auto& [h, bucket] : groups) num_groups += bucket.size();
-  w.Varint(num_groups);
-  for (const auto& [h, bucket] : groups) {
-    for (const exec::AggGroup& g : bucket) {
-      w.U64(h);
-      w.Varint(g.keys.size());
-      for (const exec::Value& k : g.keys) EncodeValue(k, &w);
-      for (size_t a = 0; a < aggs.size(); a++) {
-        EncodeAccumulator(g.accs[a], &w);
-      }
+  w.Varint(groups.size());
+  for (size_t g = 0; g < groups.size(); g++) {
+    w.U64(groups.hash(g));
+    w.Varint(groups.num_keys());
+    for (size_t k = 0; k < groups.num_keys(); k++) {
+      EncodeValue(groups.keys(g)[k], &w);
+    }
+    for (size_t a = 0; a < aggs.size(); a++) {
+      EncodeAccumulator(groups.accs(g)[a], &w);
     }
   }
 }
@@ -907,25 +905,27 @@ Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_aggs,
   uint64_t num_groups;
   WIRE_READ(r.Varint(&num_groups));
   WIRE_READ(num_groups <= r.remaining());
-  out->groups.reserve(num_groups);
+  std::vector<exec::Value> keys;
   for (uint64_t i = 0; i < num_groups; i++) {
     uint64_t hash;
     WIRE_READ(r.U64(&hash));
     uint64_t num_keys;
     WIRE_READ(r.Varint(&num_keys));
     WIRE_READ(num_keys <= r.remaining() / 2 + 1);
-    exec::AggGroup group;
-    group.keys.reserve(num_keys);
+    // Every group of one partial has the same key count.
+    if (i == 0) out->groups = exec::GroupTable(num_keys, num_aggs);
+    WIRE_READ(num_keys == out->groups.num_keys());
+    keys.resize(num_keys);
     for (uint64_t k = 0; k < num_keys; k++) {
-      exec::Value v;
-      WIRE_READ(DecodeValue(&r, arena, &v));
-      group.keys.push_back(v);
+      WIRE_READ(DecodeValue(&r, arena, &keys[k]));
     }
-    group.accs.resize(num_aggs);
+    bool inserted;
+    const uint32_t g = out->groups.FindOrInsert(keys.data(), hash, &inserted);
+    WIRE_READ(inserted);
     for (size_t a = 0; a < num_aggs; a++) {
-      JSONTILES_RETURN_NOT_OK(DecodeAccumulator(&r, arena, &group.accs[a]));
+      JSONTILES_RETURN_NOT_OK(
+          DecodeAccumulator(&r, arena, &out->groups.accs(g)[a]));
     }
-    out->groups.emplace_back(hash, std::move(group));
   }
   WIRE_READ(r.AtEnd());
   return Status::OK();

@@ -224,13 +224,15 @@ Status DecodeRowBatch(const std::vector<uint8_t>& payload, Arena* arena,
 /// its key hash (recorded, not recomputed, so coordinator merge uses the
 /// exact same bucket chain). Decode needs the agg count from the request.
 void EncodeAggPartial(uint32_t fragment_id, uint32_t epoch,
-                      const exec::AggGroupMap& groups,
+                      const exec::GroupTable& groups,
                       const std::vector<exec::AggSpec>& aggs,
                       std::vector<uint8_t>* out);
 struct AggPartial {
   uint32_t fragment_id = 0;
   uint32_t epoch = 0;
-  std::vector<std::pair<uint64_t, exec::AggGroup>> groups;
+  /// Decoded groups with their recorded hashes; a valid partial never holds
+  /// two groups with equal keys.
+  exec::GroupTable groups{0, 0};
 };
 Status DecodeAggPartial(const std::vector<uint8_t>& payload, size_t num_aggs,
                         Arena* arena, AggPartial* out);

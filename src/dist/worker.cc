@@ -159,7 +159,15 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
   spec.null_rejecting_paths = frag.null_rejecting_paths;
   spec.range_predicates = frag.range_predicates;
 
-  exec::RowSet rows = exec::ScanExec(spec, ctx);
+  // An aggregate fragment folds its scan straight into a group table; a scan
+  // fragment materializes rows.
+  exec::RowSet rows;
+  exec::GroupTable groups(frag.group_by.size(), frag.aggs.size());
+  if (is_agg) {
+    exec::ScanAggregatePartial(spec, frag.group_by, frag.aggs, ctx, &groups);
+  } else {
+    rows = exec::ScanExec(spec, ctx);
+  }
   JSONTILES_RETURN_NOT_OK(ctx.ConsumeStatus());
 
   FragmentDoneMsg done;
@@ -174,10 +182,7 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     // epoch does not match the current one. The coordinator must reject it
     // (dist.frames_rejected_stale) without disturbing the real results.
     if (is_agg) {
-      exec::AggGroupMap stale;
-      exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
-                           &stale);
-      EncodeAggPartial(frag.fragment_id, frag.epoch + 1000, stale, frag.aggs,
+      EncodeAggPartial(frag.fragment_id, frag.epoch + 1000, groups, frag.aggs,
                        &payload);
       JSONTILES_RETURN_NOT_OK(
           WriteResultFrame(state, FrameType::kAggResult, payload));
@@ -191,13 +196,8 @@ Status RunFragment(WorkerState& state, const FragmentMsg& frag, bool is_agg) {
     payload.clear();
   }
   if (is_agg) {
-    exec::AggGroupMap groups;
-    exec::AccumulateRows(rows, frag.group_by, frag.aggs, ctx.arena(0),
-                         &groups);
-    size_t num_groups = 0;
-    for (const auto& [h, bucket] : groups) num_groups += bucket.size();
-    done.rows_out = num_groups;
-    if (!groups.empty()) {
+    done.rows_out = groups.size();
+    if (groups.size() > 0) {
       EncodeAggPartial(frag.fragment_id, frag.epoch, groups, frag.aggs,
                        &payload);
       JSONTILES_RETURN_NOT_OK(

@@ -72,10 +72,10 @@ class DistRuntime {
 /// by ScanExec when ctx.dist serves the scanned relation.
 RowSet ExchangeExec(const ScanSpec& spec, QueryContext& ctx);
 
-/// Distributed scan + partial-aggregate push-down. Replaces the
-/// ScanExec→AggregateExec pair for eligible single-table blocks (see
+/// Distributed scan + partial-aggregate push-down. Takes the place of
+/// ScanAggregateExec for single-table blocks over a served relation (see
 /// opt/query.cc); group_by/agg argument expressions are slot-rewritten
-/// against the scan's access list, exactly as AggregateExec would see them.
+/// against the scan's access list, exactly as ScanAggregateExec sees them.
 RowSet ExchangeAggregateExec(const ScanSpec& spec,
                              const std::vector<ExprPtr>& group_by,
                              const std::vector<AggSpec>& aggs,

@@ -9,6 +9,7 @@
 
 #include "exec/expr_compile.h"
 #include "exec/simd.h"
+#include "util/bit_util.h"
 
 namespace jsontiles::exec::vec {
 
@@ -82,21 +83,21 @@ void KernelArith(const Instr& in, const ColumnVector& a, const ColumnVector& b,
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] + bi[r];
+          oi[r] = bit_util::WrapAdd(ai[r], bi[r]);
         }
         return;
       case BinOp::kSub:
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] - bi[r];
+          oi[r] = bit_util::WrapSub(ai[r], bi[r]);
         }
         return;
       default:  // kMul
         for (size_t k = 0; k < sel.count; k++) {
           const size_t r = sel.idx[k];
           onull[r] = an[r] | bn[r];
-          oi[r] = ai[r] * bi[r];
+          oi[r] = bit_util::WrapMul(ai[r], bi[r]);
         }
         return;
     }

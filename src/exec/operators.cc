@@ -5,6 +5,7 @@
 #include <bit>
 #include <cstring>
 #include <deque>
+#include <memory>
 
 #include "exec/agg_state.h"
 #include "exec/expr_compile.h"
@@ -298,198 +299,161 @@ RowSet ProjectExec(const RowSet& in, const std::vector<ExprPtr>& exprs,
 
 namespace {
 
-// Accumulator / AggGroup / AggGroupMap moved to exec/agg_state.h so the
-// distributed exchange can build worker-side partials and merge them in the
-// coordinator through the same order-independent state.
+// Group keys and aggregate arguments as one expression list (keys first),
+// the shape both aggregation inputs batch over.
+struct AggExprs {
+  AggExprs(const std::vector<ExprPtr>& group_by,
+           const std::vector<AggSpec>& aggs)
+      : exprs(RawExprs(group_by)),
+        num_keys(group_by.size()),
+        arg(aggs.size(), -1) {
+    for (size_t a = 0; a < aggs.size(); a++) {
+      if (aggs[a].arg != nullptr) {
+        arg[a] = static_cast<int>(exprs.size());
+        exprs.push_back(aggs[a].arg.get());
+      }
+    }
+  }
 
-// One row into the group map. When `batched` is set, group keys and agg args
-// come from the compiled batch results (`lane` = row's index in the current
-// batch); otherwise they are interpreted per row. `agg_expr_idx[a]` maps agg
-// a to its argument's index in the batched expression list (-1 = COUNT(*)).
-// Returns the approximate bytes newly allocated (non-zero only when this row
-// created a group) so callers can charge the memory budget.
-size_t Accumulate(AggGroupMap& groups, const std::vector<ExprPtr>& group_by,
-                  const std::vector<AggSpec>& aggs,
-                  const std::vector<int>& agg_expr_idx, const Row& row,
-                  Arena* arena, const BatchedExprs* batched, size_t lane) {
-  uint64_t h = kKeyHashSeed;
-  std::vector<Value> keys;
-  keys.reserve(group_by.size());
-  size_t key_bytes = 0;
-  for (size_t g = 0; g < group_by.size(); g++) {
-    Value v = batched != nullptr
-                  ? batched->Get(g, lane, row, arena)
-                  : EvalExpr(*group_by[g], row.data(), arena);
-    h = HashCombine(h, v.Hash());
-    if (v.type == ValueType::kString) key_bytes += v.s.size();
-    keys.push_back(v);
-  }
-  auto& bucket = groups[h];
-  AggGroup* group = nullptr;
-  for (auto& g : bucket) {
-    bool equal = true;
-    for (size_t i = 0; i < keys.size() && equal; i++) {
-      equal = g.keys[i].EqualsForGrouping(keys[i]);
-    }
-    if (equal) {
-      group = &g;
-      break;
-    }
-  }
-  size_t new_bytes = 0;
-  if (group == nullptr) {
-    bucket.push_back(AggGroup{std::move(keys), std::vector<Accumulator>(aggs.size())});
-    group = &bucket.back();
-    new_bytes = sizeof(AggGroup) + aggs.size() * sizeof(Accumulator) +
-                group_by.size() * sizeof(Value) + key_bytes +
-                kPerRowTableOverhead;
-  }
-  for (size_t a = 0; a < aggs.size(); a++) {
-    Value v = Value::Null();
-    if (aggs[a].arg != nullptr) {
-      v = batched != nullptr
-              ? batched->Get(static_cast<size_t>(agg_expr_idx[a]), lane, row,
-                             arena)
-              : EvalExpr(*aggs[a].arg, row.data(), arena);
-    }
-    group->accs[a].AddValue(aggs[a].kind, v);
-  }
-  return new_bytes;
-}
+  std::vector<const Expr*> exprs;
+  size_t num_keys;
+  std::vector<int> arg;  // agg a's index in exprs; -1 for COUNT(*)
+};
 
-// In-memory aggregation over `in`. When `budgeted`, scratch memory (group
-// table) is reserved against ctx.budget() as groups are created; a refused
+// Per-batch AggInputs of one worker: inputs()[e] is expression e's column
+// or, for an expression without one, the Values the interpreter computed
+// into this object's scratch.
+class AggBatchInputs {
+ public:
+  explicit AggBatchInputs(const AggExprs& exprs)
+      : exprs_(exprs),
+        inputs_(exprs.exprs.size()),
+        args_(exprs.arg.size()),
+        values_(exprs.exprs.size()) {}
+
+  /// Expression e's column for this batch (null = interpreted).
+  void SetColumn(size_t e, const ColumnVector* col) {
+    inputs_[e] = AggInput{col, nullptr};
+  }
+  /// Scratch for expression e's n interpreted lane values.
+  Value* InterpretedValues(size_t e, size_t n) {
+    values_[e].resize(n);
+    inputs_[e] = AggInput{nullptr, values_[e].data()};
+    return values_[e].data();
+  }
+
+  /// Fold the batch's n selected lanes into `table`; returns the bytes of
+  /// the groups it created.
+  size_t AddTo(GroupTable* table, const std::vector<AggSpec>& aggs,
+               const uint16_t* lanes, size_t n) {
+    for (size_t a = 0; a < args_.size(); a++) {
+      args_[a] = exprs_.arg[a] < 0 ? AggInput{}
+                                   : inputs_[static_cast<size_t>(exprs_.arg[a])];
+    }
+    return table->AddBatch(inputs_.data(), args_.data(), aggs, lanes, n);
+  }
+
+ private:
+  const AggExprs& exprs_;
+  std::vector<AggInput> inputs_;
+  std::vector<AggInput> args_;
+  std::vector<std::vector<Value>> values_;
+};
+
+// In-memory aggregation of `in` into `table`. When `budgeted`, the group
+// table is reserved against ctx.budget() as groups are created; a refused
 // charge drops all partial state, sets *aborted and returns OK — the caller
 // then takes the spill path. With `budgeted` false the table grows freely
 // (the forced path at the spill depth cap).
-Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
-                         const std::vector<AggSpec>& aggs, QueryContext& ctx,
-                         bool budgeted, bool* aborted, RowSet* out) {
+Status AggregateRows(const RowSet& in, const std::vector<ExprPtr>& group_by,
+                     const std::vector<AggSpec>& aggs, QueryContext& ctx,
+                     bool budgeted, bool* aborted, GroupTable* table) {
   *aborted = false;
   const size_t parallel_threshold = 16384;
-  std::vector<AggGroupMap> partials;
-  // Reservations outlive the group maps' useful life below; one per worker
-  // (BudgetReservation is single-threaded, the budget under it is atomic).
-  std::deque<BudgetReservation> reservations;
-
-  // Batched expression list: group keys first, then aggregate arguments.
-  std::vector<const Expr*> batch_exprs = RawExprs(group_by);
-  std::vector<int> agg_expr_idx(aggs.size(), -1);
-  for (size_t a = 0; a < aggs.size(); a++) {
-    if (aggs[a].arg != nullptr) {
-      agg_expr_idx[a] = static_cast<int>(batch_exprs.size());
-      batch_exprs.push_back(aggs[a].arg.get());
-    }
-  }
+  const AggExprs exprs(group_by, aggs);
   // Type inference runs once here; workers run on private copies.
-  BatchedExprs master(in, std::move(batch_exprs),
-                      ctx.options().enable_vectorized);
+  BatchedExprs master(in, exprs.exprs, ctx.options().enable_vectorized);
 
   std::atomic<bool> over_budget{false};
-  auto accumulate_range = [&](AggGroupMap& groups, size_t begin, size_t end,
-                              Arena* arena, BatchedExprs* batched,
-                              BudgetReservation* res) {
+  auto fold_range = [&](size_t begin, size_t end, Arena* arena,
+                        BatchedExprs* batched, GroupTable* groups,
+                        BudgetReservation* res) {
     JSONTILES_TRACE_SPAN("exec.agg.partial");
-    size_t pending = 0;
+    AggBatchInputs inputs(exprs);
+    SelectionVector all;
     for (size_t b = begin; b < end; b += kVectorSize) {
       if (over_budget.load(std::memory_order_relaxed)) return;
       const size_t n = std::min(kVectorSize, end - b);
-      const BatchedExprs* cur = nullptr;
-      if (batched->enabled()) {
-        batched->LoadBatch(in, b, n, arena);
-        cur = batched;
-      }
-      for (size_t k = 0; k < n; k++) {
-        pending += Accumulate(groups, group_by, aggs, agg_expr_idx, in[b + k],
-                              arena, cur, k);
-      }
-      if (res != nullptr && pending > 0) {
-        if (!res->Grow(pending)) {
-          over_budget.store(true, std::memory_order_relaxed);
-          return;
+      all.SetAll(n);
+      if (batched->enabled()) batched->LoadBatch(in, b, n, arena);
+      for (size_t e = 0; e < exprs.exprs.size(); e++) {
+        const ColumnVector* col = batched->Result(e);
+        if (col != nullptr) {
+          inputs.SetColumn(e, col);
+          continue;
         }
-        pending = 0;
+        Value* values = inputs.InterpretedValues(e, n);
+        for (size_t k = 0; k < n; k++) {
+          values[k] = EvalExpr(*exprs.exprs[e], in[b + k].data(), arena);
+        }
+      }
+      const size_t new_bytes = inputs.AddTo(groups, aggs, all.idx, n);
+      if (new_bytes > 0 && !res->Grow(new_bytes)) {
+        over_budget.store(true, std::memory_order_relaxed);
+        return;
       }
     }
   };
 
+  // Reservations outlive the tables' useful life below; one per worker
+  // (BudgetReservation is single-threaded, the budget under it is atomic).
+  std::deque<BudgetReservation> reservations;
   if (ctx.pool() != nullptr && in.size() >= parallel_threshold) {
-    size_t workers = ctx.num_workers();
-    partials.resize(workers);
+    const size_t workers = ctx.num_workers();
+    std::vector<GroupTable> partials(
+        workers, GroupTable(group_by.size(), aggs.size()));
     std::vector<BatchedExprs> worker_batched(workers, master);
     for (size_t w = 0; w < workers; w++) {
       reservations.emplace_back(budgeted ? ctx.budget() : nullptr);
     }
-    size_t chunk = (in.size() + workers - 1) / workers;
+    const size_t chunk = (in.size() + workers - 1) / workers;
     JSONTILES_RETURN_NOT_OK(ctx.pool()->ParallelForStatus(
         workers,
         [&](size_t w, size_t) -> Status {
           JSONTILES_FAILPOINT_RETURN("exec.agg.worker");
           if (ctx.cancelled()) return Status::OK();
-          size_t begin = w * chunk;
-          size_t end = std::min(begin + chunk, in.size());
+          const size_t begin = w * chunk;
+          const size_t end = std::min(begin + chunk, in.size());
           if (begin < end) {
-            accumulate_range(partials[w], begin, end, ctx.arena(w),
-                             &worker_batched[w], &reservations[w]);
+            fold_range(begin, end, ctx.arena(w), &worker_batched[w],
+                       &partials[w], &reservations[w]);
           }
           return Status::OK();
         },
         1));
+    if (!over_budget.load(std::memory_order_relaxed)) {
+      // Unique groups across partials were all charged above, so the merged
+      // table never exceeds the reservation.
+      JSONTILES_TRACE_SPAN("exec.agg.merge");
+      for (GroupTable& partial : partials) {
+        table->MergeFrom(std::move(partial), aggs);
+      }
+    }
   } else {
-    partials.resize(1);
     reservations.emplace_back(budgeted ? ctx.budget() : nullptr);
-    accumulate_range(partials[0], 0, in.size(), ctx.arena(0), &master,
-                     &reservations[0]);
+    fold_range(0, in.size(), ctx.arena(0), &master, table, &reservations[0]);
   }
-  if (over_budget.load(std::memory_order_relaxed)) {
-    *aborted = true;
-    return Status::OK();
-  }
+  *aborted = over_budget.load(std::memory_order_relaxed);
+  return Status::OK();
+}
 
-  // Merge partials into the first map. Unique groups across partials were
-  // all charged above, so the merged map never exceeds the reservation.
-  AggGroupMap& merged = partials[0];
-  {
-    JSONTILES_TRACE_SPAN("exec.agg.merge");
-    for (size_t p = 1; p < partials.size(); p++) {
-      for (auto& [h, bucket] : partials[p]) {
-        auto& dst_bucket = merged[h];
-        for (auto& g : bucket) {
-          AggGroup* target = nullptr;
-          for (auto& existing : dst_bucket) {
-            bool equal = true;
-            for (size_t i = 0; i < g.keys.size() && equal; i++) {
-              equal = existing.keys[i].EqualsForGrouping(g.keys[i]);
-            }
-            if (equal) {
-              target = &existing;
-              break;
-            }
-          }
-          if (target == nullptr) {
-            dst_bucket.push_back(std::move(g));
-          } else {
-            for (size_t a = 0; a < aggs.size(); a++) {
-              target->accs[a].Merge(aggs[a].kind, g.accs[a]);
-            }
-          }
-        }
-      }
-    }
-  }
-
-  for (auto& [h, bucket] : merged) {
-    (void)h;
-    for (auto& g : bucket) {
-      Row row;
-      row.reserve(group_by.size() + aggs.size());
-      for (auto& k : g.keys) row.push_back(k);
-      for (size_t a = 0; a < aggs.size(); a++) {
-        row.push_back(g.accs[a].Finalize(aggs[a].kind));
-      }
-      out->push_back(std::move(row));
-    }
-  }
+Status AggregateInMemory(const RowSet& in, const std::vector<ExprPtr>& group_by,
+                         const std::vector<AggSpec>& aggs, QueryContext& ctx,
+                         bool budgeted, bool* aborted, RowSet* out) {
+  GroupTable table(group_by.size(), aggs.size());
+  JSONTILES_RETURN_NOT_OK(
+      AggregateRows(in, group_by, aggs, ctx, budgeted, aborted, &table));
+  if (!*aborted) table.Finalize(aggs, out);
   return Status::OK();
 }
 
@@ -612,15 +576,209 @@ RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
   }
 
   // Global aggregate of empty input still yields one row.
-  if (group_by.empty() && out.empty()) {
-    Row row;
-    std::vector<Accumulator> accs(aggs.size());
-    for (size_t a = 0; a < aggs.size(); a++) {
-      row.push_back(accs[a].Finalize(aggs[a].kind));
-    }
-    out.push_back(std::move(row));
-  }
+  if (group_by.empty() && out.empty()) out.push_back(EmptyGlobalAggRow(aggs));
   ReportSpill(prof, stats, ctx);
+  prof.set_rows_out(out.size());
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// Scan-fed aggregation
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// The aggregation of one scan worker: group keys and arguments compiled
+// against the scan's access types (no inference pass), folded straight from
+// the batch's slot vectors into the worker's own group table. Expressions
+// that do not compile are interpreted per selected lane.
+class AggSink : public BatchSink {
+ public:
+  AggSink(const AggExprs& exprs, const std::vector<CompiledExpr>& programs,
+          const std::vector<uint8_t>& compiled, size_t num_slots,
+          const std::vector<AggSpec>& aggs, Arena* arena, MemoryBudget* budget,
+          std::atomic<bool>* over_budget)
+      : exprs_(exprs),
+        programs_(programs),
+        compiled_(compiled),
+        num_slots_(num_slots),
+        aggs_(aggs),
+        arena_(arena),
+        over_budget_(over_budget),
+        inputs_(exprs),
+        table_(exprs.num_keys, aggs.size()),
+        res_(budget) {}
+
+  Status Consume(size_t, const ColumnVector* slots,
+                 const SelectionVector& sel) override {
+    if (!started_) {
+      started_ = true;
+      JSONTILES_FAILPOINT_RETURN("exec.agg.worker");
+    }
+    if (done()) return Status::OK();
+    bool rows_ready = false;
+    for (size_t e = 0; e < exprs_.exprs.size(); e++) {
+      if (compiled_[e]) {
+        inputs_.SetColumn(e, &programs_[e].Run(slots, sel, arena_));
+        continue;
+      }
+      if (!rows_ready) {
+        rows_ready = true;
+        lane_rows_.resize(sel.count * num_slots_);
+        for (size_t k = 0; k < sel.count; k++) {
+          for (size_t i = 0; i < num_slots_; i++) {
+            lane_rows_[k * num_slots_ + i] = slots[i].GetValue(sel.idx[k]);
+          }
+        }
+      }
+      Value* values = inputs_.InterpretedValues(e, sel.count);
+      for (size_t k = 0; k < sel.count; k++) {
+        values[k] = EvalExpr(*exprs_.exprs[e],
+                             lane_rows_.data() + k * num_slots_, arena_);
+      }
+    }
+    const size_t new_bytes = inputs_.AddTo(&table_, aggs_, sel.idx, sel.count);
+    if (new_bytes > 0 && !res_.Grow(new_bytes)) {
+      over_budget_->store(true, std::memory_order_relaxed);
+    }
+    return Status::OK();
+  }
+
+  bool done() const override {
+    return over_budget_->load(std::memory_order_relaxed);
+  }
+
+  GroupTable& table() { return table_; }
+
+ private:
+  const AggExprs& exprs_;
+  std::vector<CompiledExpr> programs_;  // this worker's copies
+  const std::vector<uint8_t>& compiled_;
+  const size_t num_slots_;
+  const std::vector<AggSpec>& aggs_;
+  Arena* arena_;
+  std::atomic<bool>* over_budget_;
+  AggBatchInputs inputs_;
+  GroupTable table_;
+  BudgetReservation res_;
+  std::vector<Value> lane_rows_;  // selected lanes' slots, for interpreting
+  bool started_ = false;
+};
+
+// Scan `spec` batch-at-a-time into per-worker group tables and merge them
+// into `table`. Returns false, with nothing scanned, when the scan cannot run
+// batch-at-a-time (see ScanBatches). When `budgeted`, every new group is
+// charged to ctx.budget(); a refused charge stops the scan, drops the tables
+// and sets *aborted. A failure cancels `ctx`.
+bool ScanIntoTable(const ScanSpec& spec, const std::vector<ExprPtr>& group_by,
+                   const std::vector<AggSpec>& aggs, QueryContext& ctx,
+                   bool budgeted, bool* aborted, GroupTable* table) {
+  *aborted = false;
+  const AggExprs exprs(group_by, aggs);
+  std::vector<ValueType> slot_types;
+  for (const ExprPtr& access : spec.accesses) {
+    slot_types.push_back(access->access_type);
+  }
+  std::vector<CompiledExpr> programs(exprs.exprs.size());
+  std::vector<uint8_t> compiled(exprs.exprs.size(), 0);
+  for (size_t e = 0; e < exprs.exprs.size(); e++) {
+    compiled[e] = ctx.options().enable_vectorized &&
+                  CompiledExpr::Compile(*exprs.exprs[e], slot_types,
+                                        &programs[e]);
+  }
+  std::atomic<bool> over_budget{false};
+  std::vector<std::unique_ptr<AggSink>> sinks;
+  std::vector<BatchSink*> sink_ptrs;
+  for (size_t w = 0; w < ctx.num_workers(); w++) {
+    sinks.push_back(std::make_unique<AggSink>(
+        exprs, programs, compiled, spec.accesses.size(), aggs, ctx.arena(w),
+        budgeted ? ctx.budget() : nullptr, &over_budget));
+    sink_ptrs.push_back(sinks.back().get());
+  }
+  if (!ScanBatches(spec, ctx, sink_ptrs)) return false;
+  if (ctx.cancelled()) return true;
+  if (over_budget.load(std::memory_order_relaxed)) {
+    *aborted = true;
+    return true;
+  }
+  // Unique groups across the workers were all charged, so the merged table
+  // never exceeds the reservations (held until the sinks are destroyed).
+  JSONTILES_TRACE_SPAN("exec.agg.merge");
+  for (auto& sink : sinks) table->MergeFrom(std::move(sink->table()), aggs);
+  return true;
+}
+
+}  // namespace
+
+void ScanAggregatePartial(const ScanSpec& spec,
+                          const std::vector<ExprPtr>& group_by,
+                          const std::vector<AggSpec>& aggs, QueryContext& ctx,
+                          GroupTable* table) {
+  bool aborted = false;
+  if (ScanIntoTable(spec, group_by, aggs, ctx, /*budgeted=*/false, &aborted,
+                    table)) {
+    return;
+  }
+  RowSet rows = ScanExec(spec, ctx);
+  if (ctx.cancelled()) return;
+  Status st = AggregateRows(rows, group_by, aggs, ctx, /*budgeted=*/false,
+                            &aborted, table);
+  if (!st.ok()) ctx.Cancel(std::move(st));
+}
+
+RowSet ScanAggregateExec(const ScanSpec& spec,
+                         const std::vector<ExprPtr>& group_by,
+                         const std::vector<AggSpec>& aggs, QueryContext& ctx) {
+  JSONTILES_TRACE_SPAN("exec.aggregate");
+  obs::PlanProfile* profile = ctx.profile;
+  // Started before the scan so that it covers the folding inside the scan's
+  // workers; each scan node's own wall time is taken back out. Arena growth
+  // during the scan lands on the Scan node.
+  obs::OperatorProfiler prof(profile, "Aggregate",
+                             std::to_string(group_by.size()) + " keys, " +
+                                 std::to_string(aggs.size()) + " aggs");
+  auto adopt_scan = [&]() {
+    if (profile == nullptr) return;
+    const obs::OperatorStats& scan = profile->op(profile->last_id());
+    prof.AddChild(profile->last_id());
+    prof.ExcludeNanos(scan.wall_nanos);
+    prof.set_rows_in(scan.rows_out);
+  };
+  // A global aggregate is a single group, so only grouped aggregation is
+  // budget-governed (as in AggregateExec).
+  const bool budgeted = !group_by.empty();
+  GroupTable table(group_by.size(), aggs.size());
+  bool aborted = false;
+  const bool fused =
+      ScanIntoTable(spec, group_by, aggs, ctx, budgeted, &aborted, &table);
+  // JSON-text relations and unvectorized queries fold the scan's rows.
+  RowSet rows;
+  if (!fused) rows = ScanExec(spec, ctx);
+  adopt_scan();
+  Status st;
+  if (!fused && !ctx.cancelled()) {
+    st = AggregateRows(rows, group_by, aggs, ctx, budgeted, &aborted, &table);
+  }
+  SpillStats spill_stats;
+  RowSet out;
+  if (st.ok() && !ctx.cancelled() && aborted) {
+    // A refused charge: drop the table and aggregate the scan's rows
+    // through the grace spill.
+    table = GroupTable(group_by.size(), aggs.size());
+    if (fused) {
+      rows = ScanExec(spec, ctx);
+      adopt_scan();
+    }
+    if (!ctx.cancelled()) {
+      st = AggSpill(rows, group_by, aggs, ctx, &spill_stats, &out);
+    }
+  } else if (st.ok() && !ctx.cancelled()) {
+    table.Finalize(aggs, &out);
+    if (group_by.empty() && out.empty()) out.push_back(EmptyGlobalAggRow(aggs));
+  }
+  if (!st.ok()) ctx.Cancel(std::move(st));
+  if (ctx.cancelled()) out.clear();
+  ReportSpill(prof, spill_stats, ctx);
   prof.set_rows_out(out.size());
   return out;
 }

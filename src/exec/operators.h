@@ -47,6 +47,17 @@ struct AggSpec {
 RowSet AggregateExec(const RowSet& in, const std::vector<ExprPtr>& group_by,
                      const std::vector<AggSpec>& aggs, QueryContext& ctx);
 
+/// Scan + aggregation as one pipeline, for a single-table block: the scan's
+/// batches fold straight into per-worker group tables (ScanBatches), with
+/// the same output as AggregateExec over ScanExec's rows. Records a Scan node
+/// and an Aggregate node above it; the time spent folding is the Aggregate
+/// node's. A refused memory charge drops the tables and re-scans into the
+/// grace spill. Scans that cannot run batch-at-a-time run as ScanExec into
+/// AggregateExec.
+RowSet ScanAggregateExec(const ScanSpec& spec,
+                         const std::vector<ExprPtr>& group_by,
+                         const std::vector<AggSpec>& aggs, QueryContext& ctx);
+
 enum class JoinType : uint8_t { kInner, kLeft, kSemi, kAnti };
 
 /// Hash join. Output rows are [probe row..., build row...] for inner/left

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 
 #include "exec/exchange.h"
@@ -189,6 +190,13 @@ Value EvalScanExprOnJsonb(const Expr& access, json::JsonbValue doc,
 
 namespace {
 
+uint64_t NanosSince(std::chrono::steady_clock::time_point start) {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 // Per-tile resolution of one access (§4.5), cached for all tuples.
 struct ResolvedAccess {
   enum class Route : uint8_t { kColumn, kColumnCast, kFallback };
@@ -324,39 +332,50 @@ struct Chunk {
 // Batch-at-a-time scan of one chunk: pushed-down conjuncts run as compiled
 // programs over column vectors read in bulk from the tile. Slot vectors
 // materialize lazily, so later conjuncts and binary-JSON fallback accesses
-// only touch rows surviving the earlier selection. One instance per worker;
-// buffers are reused across chunks. JSON-text relations stay on the scalar
-// path (each document re-parse invalidates the shared parse buffer, so
-// there is nothing to batch).
+// only touch rows surviving the earlier selection. Conjuncts that did not
+// compile narrow the selection per row, and the surviving batch goes to a
+// BatchSink: row output is one such sink, scan-fed aggregation another. One
+// instance per worker; buffers are reused across chunks. JSON-text relations
+// stay on the scalar path (each document re-parse invalidates the shared
+// parse buffer, so there is nothing to batch).
 class VectorizedChunkScan {
  public:
   VectorizedChunkScan(const ScanSpec& spec, CompiledPredicate& pred,
-                      Arena* arena)
+                      Arena* arena, BatchSink* sink, bool timed)
       : spec_(spec),
         pred_(pred),
         arena_(arena),
+        sink_(sink),
+        timed_(timed),
         num_slots_(spec.accesses.size()),
         slot_vecs_(num_slots_),
         ready_(num_slots_, 0),
+        row_(num_slots_),
         steps_(num_slots_),
         steps_ready_(num_slots_, 0) {}
 
-  void Run(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
-           RowSet* out) {
+  Status Run(const Chunk& chunk, size_t chunk_index,
+             const std::vector<ResolvedAccess>& resolved) {
     rel_ = chunk.rel;
     rowid_base_ = chunk.rowid_base;
-    for (size_t b = 0; b < chunk.row_count; b += kVectorSize) {
-      ScanBatch(chunk, resolved, b, std::min(kVectorSize, chunk.row_count - b),
-                out);
+    for (size_t b = 0; b < chunk.row_count && !sink_->done(); b += kVectorSize) {
+      JSONTILES_RETURN_NOT_OK(
+          ScanBatch(chunk, chunk_index, resolved, b,
+                    std::min(kVectorSize, chunk.row_count - b)));
     }
+    return Status::OK();
   }
 
   size_t batches() const { return batches_; }
   size_t rows() const { return rows_; }
+  size_t rows_out() const { return rows_out_; }
+  size_t jsonb_lookups() const { return jsonb_lookups_; }
+  uint64_t sink_nanos() const { return sink_nanos_; }
 
  private:
-  void ScanBatch(const Chunk& chunk, const std::vector<ResolvedAccess>& resolved,
-                 size_t batch_begin, size_t n, RowSet* out) {
+  Status ScanBatch(const Chunk& chunk, size_t chunk_index,
+                   const std::vector<ResolvedAccess>& resolved,
+                   size_t batch_begin, size_t n) {
     batches_++;
     rows_ += n;
     sel_.SetAll(n);
@@ -367,31 +386,42 @@ class VectorizedChunkScan {
       }
       IntersectSelection(conjunct.program.Run(slot_vecs_.data(), sel_, arena_),
                          &sel_);
-      if (sel_.empty()) return;
+      if (sel_.empty()) return Status::OK();
     }
     for (size_t i = 0; i < num_slots_; i++) {
       MaterializeSlot(i, chunk, resolved, batch_begin, n);
     }
-    Row row(num_slots_);
-    for (size_t k = 0; k < sel_.count; k++) {
-      const size_t r = sel_.idx[k];
-      for (size_t i = 0; i < num_slots_; i++) {
-        row[i] = slot_vecs_[i].GetValue(r);
-      }
-      bool keep = true;
-      for (const ExprPtr& residual : pred_.residuals()) {
-        Value v = EvalExpr(*residual, row.data(), arena_);
-        if (v.is_null() || !v.bool_value()) {
-          keep = false;
-          break;
+    if (!pred_.residuals().empty()) {
+      size_t kept = 0;
+      for (size_t k = 0; k < sel_.count; k++) {
+        const size_t r = sel_.idx[k];
+        for (size_t i = 0; i < num_slots_; i++) {
+          row_[i] = slot_vecs_[i].GetValue(r);
         }
+        bool keep = true;
+        for (const ExprPtr& residual : pred_.residuals()) {
+          Value v = EvalExpr(*residual, row_.data(), arena_);
+          if (v.is_null() || !v.bool_value()) {
+            keep = false;
+            break;
+          }
+        }
+        if (keep) sel_.idx[kept++] = static_cast<uint16_t>(r);
       }
-      if (keep) out->push_back(row);
+      sel_.count = kept;
+      if (sel_.empty()) return Status::OK();
     }
+    rows_out_ += sel_.count;
+    if (!timed_) return sink_->Consume(chunk_index, slot_vecs_.data(), sel_);
+    const auto start = std::chrono::steady_clock::now();
+    Status st = sink_->Consume(chunk_index, slot_vecs_.data(), sel_);
+    sink_nanos_ += NanosSince(start);
+    return st;
   }
 
   void FillFromDoc(ColumnVector& vec, const Expr& access, size_t r,
                    size_t rel_row) {
+    jsonb_lookups_++;
     json::JsonbValue doc(rel_->Jsonb(rel_row).data());
     vec.SetValue(r, EvalScanExprOnJsonb(
                         access, doc,
@@ -422,6 +452,7 @@ class VectorizedChunkScan {
       }
       return;
     }
+    jsonb_lookups_ += num_lanes;
     for (size_t k = 0; k < num_lanes; k++) {
       const size_t r = lanes[k];
       doc_ptrs_[r] = rel_->Jsonb(rel_row0 + r).data();
@@ -515,9 +546,13 @@ class VectorizedChunkScan {
   int64_t rowid_base_ = 0;
   CompiledPredicate& pred_;
   Arena* arena_;
+  BatchSink* sink_;
+  // Time the sink calls (profiled runs with a sink other than row output).
+  const bool timed_;
   const size_t num_slots_;
   std::vector<ColumnVector> slot_vecs_;
   std::vector<uint8_t> ready_;
+  std::vector<Value> row_;  // one lane's slots, for the residual conjuncts
   SelectionVector sel_;
   // Batched fallback state: per-access pre-decoded paths plus per-batch
   // document pointers / lane scratch (indexed by lane).
@@ -527,6 +562,33 @@ class VectorizedChunkScan {
   uint16_t lane_buf_[kVectorSize];
   size_t batches_ = 0;
   size_t rows_ = 0;
+  size_t rows_out_ = 0;
+  size_t jsonb_lookups_ = 0;
+  uint64_t sink_nanos_ = 0;
+};
+
+// Row output of the batch loop: every selected lane becomes a row of its
+// chunk's partial result (chunks merge in order afterwards).
+class RowSink : public BatchSink {
+ public:
+  RowSink(std::vector<RowSet>* partials, size_t num_slots)
+      : partials_(partials), num_slots_(num_slots) {}
+
+  Status Consume(size_t chunk, const ColumnVector* slots,
+                 const SelectionVector& sel) override {
+    RowSet& out = (*partials_)[chunk];
+    for (size_t k = 0; k < sel.count; k++) {
+      const size_t r = sel.idx[k];
+      Row row(num_slots_);
+      for (size_t i = 0; i < num_slots_; i++) row[i] = slots[i].GetValue(r);
+      out.push_back(std::move(row));
+    }
+    return Status::OK();
+  }
+
+ private:
+  std::vector<RowSet>* partials_;
+  size_t num_slots_;
 };
 
 // Routing-key equality pruning: when the sharded relation was hash-routed
@@ -605,16 +667,15 @@ std::vector<size_t> SurvivingShards(const ScanSpec& spec,
   return out;
 }
 
-RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
-  JSONTILES_TRACE_SPAN("exec.scan");
-  // Distributed execution: when a runtime serves this sharded relation, the
-  // scan becomes per-shard fragments on worker processes (base and side
-  // scans alike). Workers run with ctx.dist unset, so their single-shard
-  // scans take the local path below.
-  if (ctx.dist != nullptr && spec.sharded != nullptr &&
-      ctx.dist->Serves(spec.sharded)) {
-    return ExchangeExec(spec, ctx);
-  }
+namespace {
+
+// Shared body of ScanExec and ScanBatches. Without `sinks`, rows are
+// materialized into *rows: through the batch loop with a RowSink per worker
+// when the scan vectorizes, else through the scalar loop. With `sinks`, the
+// batch loop feeds them; returns false, before doing any work, when the scan
+// cannot vectorize.
+bool RunScan(const ScanSpec& spec, QueryContext& ctx,
+             const std::vector<BatchSink*>* sinks, RowSet* rows) {
   const storage::ShardedRelation* sharded = spec.sharded;
   const bool sharded_base = sharded != nullptr && spec.sharded_side_path.empty();
 
@@ -653,12 +714,31 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     }
   }
 
+  // Compile the pushed-down filter once per scan; per-worker copies of the
+  // programs keep Run reentrant across threads. JSON-text mode stays scalar
+  // (see VectorizedChunkScan). A filter none of whose conjuncts compiled
+  // would gain nothing from batching, so it stays scalar too.
+  const size_t num_slots = spec.accesses.size();
+  const bool want_vectorized = ctx.options().enable_vectorized &&
+                               mode != StorageMode::kJsonText;
+  std::vector<CompiledPredicate> worker_preds;
+  bool vectorized = false;
+  if (want_vectorized) {
+    std::vector<ValueType> slot_types(num_slots);
+    for (size_t i = 0; i < num_slots; i++) {
+      slot_types[i] = spec.accesses[i]->access_type;
+    }
+    CompiledPredicate pred = CompiledPredicate::Compile(spec.filter, slot_types);
+    vectorized = spec.filter == nullptr || pred.any_compiled();
+    if (vectorized) worker_preds.assign(ctx.num_workers(), pred);
+  }
+  if (sinks != nullptr && !vectorized) return false;
+
   obs::OperatorProfiler prof(ctx.profile, "Scan",
                              spec.table_alias.empty() ? source_name
                                                       : spec.table_alias);
   prof.set_rows_in(total_rows);
   const size_t arena_before = prof.active() ? ctx.arena_bytes() : 0;
-  const size_t num_slots = spec.accesses.size();
   const bool tiled =
       mode == StorageMode::kTiles || mode == StorageMode::kSinew;
 
@@ -680,33 +760,31 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
     }
   }
 
-  // Compile the pushed-down filter once per scan; per-worker copies of the
-  // programs keep Run reentrant across threads. JSON-text mode stays scalar
-  // (see VectorizedChunkScan). A filter none of whose conjuncts compiled
-  // would gain nothing from batching, so it stays scalar too.
-  const bool want_vectorized = ctx.options().enable_vectorized &&
-                               mode != StorageMode::kJsonText;
-  std::vector<CompiledPredicate> worker_preds;
-  std::vector<std::unique_ptr<VectorizedChunkScan>> scanners(ctx.num_workers());
-  bool vectorized = false;
-  if (want_vectorized) {
-    std::vector<ValueType> slot_types(num_slots);
-    for (size_t i = 0; i < num_slots; i++) {
-      slot_types[i] = spec.accesses[i]->access_type;
+  // Row output keeps one partial result per chunk (merged in chunk order
+  // below); when the scan vectorizes, rows come from one RowSink per worker.
+  std::vector<RowSet> partials(sinks == nullptr ? chunks.size() : 0);
+  std::vector<std::unique_ptr<RowSink>> row_sinks;
+  std::vector<BatchSink*> worker_sinks;
+  if (sinks != nullptr) {
+    worker_sinks = *sinks;
+  } else if (vectorized) {
+    for (size_t w = 0; w < ctx.num_workers(); w++) {
+      row_sinks.push_back(std::make_unique<RowSink>(&partials, num_slots));
+      worker_sinks.push_back(row_sinks.back().get());
     }
-    CompiledPredicate pred = CompiledPredicate::Compile(spec.filter, slot_types);
-    vectorized = spec.filter == nullptr || pred.any_compiled();
-    if (vectorized) worker_preds.assign(ctx.num_workers(), pred);
   }
-
-  std::vector<RowSet> partials(chunks.size());
+  // Profiled runs with external sinks time them, to split the scan's wall
+  // time between the scan and what the sinks do.
+  const bool timed = sinks != nullptr && prof.active();
+  std::vector<uint64_t> busy_nanos(ctx.num_workers(), 0);
+  std::vector<std::unique_ptr<VectorizedChunkScan>> scanners(ctx.num_workers());
   std::atomic<size_t> skipped{0};
+  std::atomic<size_t> scalar_lookups{0};
 
-  auto scan_chunk = [&](size_t c, size_t worker) {
+  auto scan_chunk = [&](size_t c, size_t worker) -> Status {
     JSONTILES_TRACE_SPAN("exec.scan.chunk");
     const Chunk& chunk = chunks[c];
     Arena* arena = ctx.arena(worker);
-    RowSet& out = partials[c];
 
     // §4.8 tile skipping: path existence, then zone maps.
     if (chunk.tile != nullptr && ctx.options().enable_tile_skipping) {
@@ -714,13 +792,13 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
         if (path == kRowIdPath) continue;  // present in every row
         if (!chunk.tile->MayContainPath(path)) {
           skipped.fetch_add(1);
-          return;
+          return Status::OK();
         }
       }
       for (const RangePredicate& rp : spec.range_predicates) {
         if (CanSkipByZoneMap(*chunk.tile, rp)) {
           skipped.fetch_add(1);
-          return;
+          return Status::OK();
         }
       }
     }
@@ -741,16 +819,17 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
       auto& scanner = scanners[worker];
       if (scanner == nullptr) {
         scanner = std::make_unique<VectorizedChunkScan>(
-            spec, worker_preds[worker], ctx.arena(worker));
+            spec, worker_preds[worker], arena, worker_sinks[worker], timed);
       }
-      scanner->Run(chunk, resolved, &out);
-      return;
+      return scanner->Run(chunk, c, resolved);
     }
 
+    RowSet& out = partials[c];
     const Relation& rel = *chunk.rel;
     json::JsonbBuilder text_builder;  // JSON-text mode: re-parse per document
     std::vector<uint8_t> text_buf;
     std::vector<Value> slots(num_slots);
+    size_t lookups = 0;
 
     for (size_t r = 0; r < chunk.row_count; r++) {
       const size_t row = chunk.row_begin + r;  // local to the part relation
@@ -772,6 +851,13 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
         return doc_bytes;
       };
       const bool copy_strings = rel.mode() == StorageMode::kJsonText;
+      auto eval_on_doc = [&](const Expr& access) -> Value {
+        const uint8_t* doc = get_doc();
+        if (doc == nullptr) return Value::Null();
+        lookups++;
+        return EvalScanExprOnJsonb(access, json::JsonbValue(doc), row_id,
+                                   arena, copy_strings);
+      };
 
       for (size_t i = 0; i < num_slots; i++) {
         const ResolvedAccess& ra = resolved[i];
@@ -781,24 +867,12 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
           continue;
         }
         if (ra.route == ResolvedAccess::Route::kFallback) {
-          const uint8_t* doc = get_doc();
-          slots[i] = doc == nullptr
-                         ? Value::Null()
-                         : EvalScanExprOnJsonb(access, json::JsonbValue(doc),
-                                               row_id, arena, copy_strings);
+          slots[i] = eval_on_doc(access);
           continue;
         }
         const ExtractedColumn& col = *ra.column;
         if (col.column.IsNull(r)) {
-          if (ra.fallback_on_null) {
-            const uint8_t* doc = get_doc();
-            slots[i] = doc == nullptr
-                           ? Value::Null()
-                           : EvalScanExprOnJsonb(access, json::JsonbValue(doc),
-                                                 row_id, arena, copy_strings);
-          } else {
-            slots[i] = Value::Null();
-          }
+          slots[i] = ra.fallback_on_null ? eval_on_doc(access) : Value::Null();
           continue;
         }
         Value v = ReadColumnValue(col, r);
@@ -813,16 +887,23 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
       }
       out.push_back(slots);
     }
+    scalar_lookups.fetch_add(lookups);
+    return Status::OK();
   };
 
-  // Morsels are fallible (fault injection; future I/O): a failing chunk's
-  // Status cancels the query, the other workers stop claiming morsels, and
-  // the scan returns empty — the SQL boundary surfaces the recorded error.
+  // Morsels are fallible (fault injection, a failing sink; future I/O): a
+  // failing chunk's Status cancels the query, the other workers stop
+  // claiming morsels, and the scan returns empty — the SQL boundary surfaces
+  // the recorded error.
   auto scan_morsel = [&](size_t c, size_t w) -> Status {
     JSONTILES_FAILPOINT_RETURN("exec.scan.chunk");
     if (ctx.cancelled()) return Status::OK();
-    scan_chunk(c, w);
-    return Status::OK();
+    if (!worker_sinks.empty() && worker_sinks[w]->done()) return Status::OK();
+    if (!timed) return scan_chunk(c, w);
+    const auto start = std::chrono::steady_clock::now();
+    Status st = scan_chunk(c, w);
+    busy_nanos[w] += NanosSince(start);
+    return st;
   };
   Status scan_status;
   if (ctx.pool() != nullptr && chunks.size() > 1) {
@@ -834,7 +915,7 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
   }
   if (!scan_status.ok()) {
     ctx.Cancel(std::move(scan_status));
-    return {};
+    return true;
   }
 
   ctx.tiles_skipped += skipped.load();
@@ -852,38 +933,88 @@ RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
                           static_cast<int64_t>(pruned_shards));
   }
 
-  // Merge in chunk order (deterministic results).
-  size_t total = 0;
-  for (const auto& p : partials) total += p.size();
-  RowSet out;
-  out.reserve(total);
-  for (auto& p : partials) {
-    for (auto& row : p) out.push_back(std::move(row));
+  size_t rows_out = 0;
+  size_t jsonb_lookups = scalar_lookups.load();
+  uint64_t sink_nanos = 0, busy = 0;
+  size_t batches = 0, batch_rows = 0;
+  for (size_t w = 0; w < scanners.size(); w++) {
+    busy += busy_nanos[w];
+    if (scanners[w] == nullptr) continue;
+    batches += scanners[w]->batches();
+    batch_rows += scanners[w]->rows();
+    rows_out += scanners[w]->rows_out();
+    jsonb_lookups += scanners[w]->jsonb_lookups();
+    sink_nanos += scanners[w]->sink_nanos();
   }
-  prof.set_rows_out(out.size());
+  if (rows != nullptr) {
+    // Merge in chunk order (deterministic results).
+    size_t total = 0;
+    for (const auto& p : partials) total += p.size();
+    rows->reserve(total);
+    for (auto& p : partials) {
+      for (auto& row : p) rows->push_back(std::move(row));
+    }
+    rows_out = rows->size();
+  }
+  if (timed && sink_nanos > 0) {
+    // The sinks ran inside the scan's workers. Their summed time, divided by
+    // the workers' effective parallelism (summed busy time over wall time,
+    // at least 1), is their share of the scan's wall time.
+    const uint64_t wall = std::max<uint64_t>(prof.elapsed_nanos(), 1);
+    const double parallelism =
+        std::max(1.0, static_cast<double>(busy) / static_cast<double>(wall));
+    prof.ExcludeNanos(std::min<uint64_t>(
+        wall, static_cast<uint64_t>(static_cast<double>(sink_nanos) /
+                                    parallelism)));
+  }
+  prof.set_rows_out(rows_out);
   if (prof.active()) {
     prof.AddCounter("arena_bytes",
                     static_cast<int64_t>(ctx.arena_bytes() - arena_before));
   }
   prof.AddCounter("tiles", static_cast<int64_t>(chunks.size()));
   prof.AddCounter("tiles_skipped", static_cast<int64_t>(skipped.load()));
+  prof.AddCounter("jsonb_lookups", static_cast<int64_t>(jsonb_lookups));
   if (sharded_base) {
     prof.AddCounter("shards", static_cast<int64_t>(parts.size()));
     prof.AddCounter("shards_pruned", static_cast<int64_t>(pruned_shards));
   }
   if (vectorized) {
-    size_t batches = 0, batch_rows = 0;
-    for (const auto& s : scanners) {
-      if (s == nullptr) continue;
-      batches += s->batches();
-      batch_rows += s->rows();
-    }
     prof.AddCounter("vec_batches", static_cast<int64_t>(batches));
     prof.AddCounter("vec_rows", static_cast<int64_t>(batch_rows));
     JSONTILES_COUNTER_ADD("exec.vec.batches", static_cast<int64_t>(batches));
     JSONTILES_COUNTER_ADD("exec.vec.rows", static_cast<int64_t>(batch_rows));
   }
-  return out;
+  return true;
+}
+
+}  // namespace
+
+RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx) {
+  JSONTILES_TRACE_SPAN("exec.scan");
+  // Distributed execution: when a runtime serves this sharded relation, the
+  // scan becomes per-shard fragments on worker processes (base and side
+  // scans alike). Workers run with ctx.dist unset, so their single-shard
+  // scans take the local path below.
+  if (ctx.dist != nullptr && spec.sharded != nullptr &&
+      ctx.dist->Serves(spec.sharded)) {
+    return ExchangeExec(spec, ctx);
+  }
+  RowSet rows;
+  RunScan(spec, ctx, /*sinks=*/nullptr, &rows);
+  if (ctx.cancelled()) return {};
+  return rows;
+}
+
+bool ScanBatches(const ScanSpec& spec, QueryContext& ctx,
+                 const std::vector<BatchSink*>& sinks) {
+  JSONTILES_CHECK(sinks.size() == ctx.num_workers());
+  if (ctx.dist != nullptr && spec.sharded != nullptr &&
+      ctx.dist->Serves(spec.sharded)) {
+    return false;
+  }
+  JSONTILES_TRACE_SPAN("exec.scan");
+  return RunScan(spec, ctx, &sinks, /*rows=*/nullptr);
 }
 
 }  // namespace jsontiles::exec

@@ -204,6 +204,36 @@ struct ScanSpec {
 /// Execute the scan; rows contain one value per access, in order.
 RowSet ScanExec(const ScanSpec& spec, QueryContext& ctx);
 
+/// Consumer of the batch-at-a-time scan (ScanBatches). Every worker thread
+/// feeds only its own sink, so a sink needs no locking.
+class BatchSink {
+ public:
+  BatchSink() = default;
+  BatchSink(const BatchSink&) = delete;
+  BatchSink& operator=(const BatchSink&) = delete;
+  virtual ~BatchSink() = default;
+
+  /// One batch of chunk `chunk` (chunks are the scan's tiles or fixed row
+  /// ranges, numbered in scan order). `slots[i]` holds access i at every
+  /// lane of `sel`; `sel` is never empty and has passed the whole pushed-down
+  /// filter. A non-OK status fails the scan and cancels the query.
+  virtual Status Consume(size_t chunk, const ColumnVector* slots,
+                         const SelectionVector& sel) = 0;
+
+  /// True once the sink wants no more batches; the scan then stops early.
+  virtual bool done() const { return false; }
+};
+
+/// Execute the scan batch-at-a-time, handing each batch to the calling
+/// worker's sink (`sinks` has one per ctx worker) instead of materializing
+/// rows. Returns false, scanning nothing, when the scan cannot run
+/// batch-at-a-time: JSON-text relations, vectorization off, a filter none of
+/// whose conjuncts compile, or a relation a distributed runtime serves. The
+/// caller then uses ScanExec. The Scan profile node's wall time leaves out
+/// the time spent inside the sinks.
+bool ScanBatches(const ScanSpec& spec, QueryContext& ctx,
+                 const std::vector<BatchSink*>& sinks);
+
 /// Shard indices of `spec.sharded` that survive shard-level pruning (routing
 /// key → shard bloom → shard zone maps), ascending. With `enable_pruning`
 /// false, every shard survives. This is the exact shard set a local sharded

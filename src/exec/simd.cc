@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstring>
 
+#include "util/bit_util.h"
 #include "util/hash.h"
 
 #if defined(JSONTILES_SIMD_ENABLED) && \
@@ -108,9 +109,9 @@ void ArithI64Impl(BinOp op, const int64_t* a, const int64_t* b,
                   uint8_t* onull, size_t n) {
   for (size_t k = 0; k < n; ++k) {
     onull[k] = an[k] | bn[k];
-    out[k] = op == BinOp::kAdd   ? a[k] + b[k]
-             : op == BinOp::kSub ? a[k] - b[k]
-                                 : a[k] * b[k];
+    out[k] = op == BinOp::kAdd   ? bit_util::WrapAdd(a[k], b[k])
+             : op == BinOp::kSub ? bit_util::WrapSub(a[k], b[k])
+                                 : bit_util::WrapMul(a[k], b[k]);
   }
 }
 

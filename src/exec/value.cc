@@ -42,20 +42,12 @@ uint64_t Value::Hash() const {
       }
       return HashInt(std::bit_cast<uint64_t>(d));
     }
-    case ValueType::kNumeric: {
-      Numeric n = numeric_value();
-      if (n.scale == 0) return HashInt(static_cast<uint64_t>(n.unscaled));
-      // Normalize trailing zeros so 1.50 and 1.5 hash alike.
-      int64_t unscaled = n.unscaled;
-      int scale_left = n.scale;
-      while (scale_left > 0 && unscaled % 10 == 0) {
-        unscaled /= 10;
-        scale_left--;
-      }
-      if (scale_left == 0) return HashInt(static_cast<uint64_t>(unscaled));
-      return HashCombine(HashInt(static_cast<uint64_t>(unscaled)),
-                         HashInt(static_cast<uint64_t>(scale_left)));
-    }
+    case ValueType::kNumeric:
+      // Scale-0 numerics hash like ints, the rest by value like floats:
+      // EqualsForGrouping compares numbers of different types as doubles,
+      // so 2.50 as a numeric and 2.5 as a float must share a hash.
+      if (scale == 0) return HashInt(static_cast<uint64_t>(i));
+      return Value::Float(AsDouble()).Hash();
     default:
       return HashInt(static_cast<uint64_t>(i));
   }

@@ -83,10 +83,8 @@ class OperatorProfiler {
   }
   ~OperatorProfiler() {
     if (profile_ != nullptr) {
-      stats_.wall_nanos = static_cast<uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start_)
-              .count());
+      const uint64_t wall = elapsed_nanos();
+      stats_.wall_nanos = wall > excluded_nanos_ ? wall - excluded_nanos_ : 0;
       profile_->Add(std::move(stats_));
     }
   }
@@ -94,6 +92,18 @@ class OperatorProfiler {
   OperatorProfiler& operator=(const OperatorProfiler&) = delete;
 
   bool active() const { return profile_ != nullptr; }
+
+  /// Wall time since construction (0 with a null profile).
+  uint64_t elapsed_nanos() const {
+    if (profile_ == nullptr) return 0;
+    return static_cast<uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now() - start_)
+            .count());
+  }
+  /// Take work that ran inside this operator but is charged to another node
+  /// out of its wall time.
+  void ExcludeNanos(uint64_t nanos) { excluded_nanos_ += nanos; }
   void set_detail(std::string detail) {
     if (profile_ != nullptr) stats_.detail = std::move(detail);
   }
@@ -103,6 +113,10 @@ class OperatorProfiler {
   void set_rows_out(uint64_t n) {
     if (profile_ != nullptr) stats_.rows_out = n;
   }
+  /// Wire an already-recorded node as this operator's next input.
+  void AddChild(int id) {
+    if (profile_ != nullptr) stats_.children.push_back(id);
+  }
   void AddCounter(std::string name, int64_t value) {
     if (profile_ != nullptr) stats_.counters.emplace_back(std::move(name), value);
   }
@@ -111,6 +125,7 @@ class OperatorProfiler {
   PlanProfile* profile_;
   OperatorStats stats_;
   std::chrono::steady_clock::time_point start_;
+  uint64_t excluded_nanos_ = 0;
 };
 
 }  // namespace jsontiles::obs

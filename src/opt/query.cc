@@ -307,20 +307,24 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& option
     return state.LocalSlot(table, access);
   };
 
-  // ---- Distributed partial-aggregate push-down (DESIGN.md §13). -------------
-  // A single-table aggregate over a cluster-served sharded relation skips the
-  // scan/aggregate pair entirely: workers scan their shards and aggregate
-  // locally, the coordinator merges partials through the same accumulators.
-  // With one table the global slot layout equals the scan's local layout, so
-  // the rewritten expressions are valid on the worker side verbatim.
+  // ---- Single-table aggregation: one scan→aggregate pipeline. --------------
+  // A single-table aggregate without a cross-table predicate folds the
+  // scan's batches straight into group tables (ScanAggregateExec). Over a
+  // cluster-served sharded relation the pair becomes the distributed
+  // partial-aggregate push-down instead (DESIGN.md §13): workers scan their
+  // shards and aggregate locally, the coordinator merges partials through
+  // the same accumulators. With one table the global slot layout equals the
+  // scan's local layout, so the rewritten expressions are valid on the
+  // worker side verbatim.
   obs::PlanProfile* profile = ctx.profile;
-  if (ctx.dist != nullptr && num_tables == 1 && joins_.empty() &&
-      where_ == nullptr && (!aggs_.empty() || !group_by_.empty()) &&
-      tables_[0].sharded != nullptr && tables_[0].sharded_side_path.empty() &&
-      ctx.dist->Serves(tables_[0].sharded)) {
+  if (num_tables == 1 && joins_.empty() && where_ == nullptr &&
+      (!aggs_.empty() || !group_by_.empty()) &&
+      (tables_[0].relation != nullptr || tables_[0].sharded != nullptr)) {
     const TableRef& t = tables_[0];
     exec::ScanSpec spec;
+    spec.relation = t.relation;
     spec.sharded = t.sharded;
+    spec.sharded_side_path = t.sharded_side_path;
     spec.table_alias = t.alias;
     spec.accesses = table_accesses[0];
     spec.filter = t.filter == nullptr
@@ -346,7 +350,12 @@ RowSet QueryBlock::Execute(exec::QueryContext& ctx, const PlannerOptions& option
       }
       aggs.push_back(std::move(rewritten));
     }
-    RowSet out = exec::ExchangeAggregateExec(spec, keys, aggs, ctx);
+    const bool distributed = ctx.dist != nullptr && t.sharded != nullptr &&
+                             t.sharded_side_path.empty() &&
+                             ctx.dist->Serves(t.sharded);
+    RowSet out = distributed
+                     ? exec::ExchangeAggregateExec(spec, keys, aggs, ctx)
+                     : exec::ScanAggregateExec(spec, keys, aggs, ctx);
     if (ctx.cancelled()) return {};
     if (profile != nullptr) profile->SetRoot(profile->last_id());
     auto chain_tail = [&]() {

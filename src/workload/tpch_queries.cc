@@ -1,6 +1,7 @@
 #include "workload/tpch_queries.h"
 
 #include "exec/operators.h"
+#include "obs/plan_profile.h"
 #include "util/logging.h"
 
 namespace jsontiles::workload {
@@ -46,6 +47,36 @@ TableRef T(const TableSource& rel, const char* alias, const char* marker,
 ExprPtr Revenue(const char* l = "l") {
   return exec::Mul(AF(l, "l_extendedprice"),
                    exec::Sub(exec::ConstFloat(1.0), AF(l, "l_discount")));
+}
+
+// EXPLAIN ANALYZE wiring of the hand-written operators below. Each
+// QueryBlock links its own operators into ctx.profile and leaves its top as
+// the plan root; these helpers link the blocks and operators together.
+
+// The plan root the last QueryBlock or operator left (-1 when not profiling).
+int PlanRoot(const QueryContext& ctx) {
+  return ctx.profile != nullptr ? ctx.profile->root() : -1;
+}
+
+// Make the HashJoinExec(build, probe, ...) that just ran the plan root over
+// its inputs' nodes: probed input first, hashed input second, as the planner
+// wires its own joins.
+void LinkJoin(QueryContext& ctx, exec::JoinType type, const RowSet& build,
+              const RowSet& probe, int build_node, int probe_node) {
+  obs::PlanProfile* profile = ctx.profile;
+  if (profile == nullptr) return;
+  const int join = profile->last_id();
+  std::vector<int>& children = profile->op(join).children;
+  children = {probe_node, build_node};
+  if (exec::HashJoinBuildsOnProbe(type, build.size(), probe.size())) {
+    std::swap(children[0], children[1]);
+  }
+  profile->SetRoot(join);
+}
+
+// Chain the operator that just ran above the plan root.
+void ChainLast(QueryContext& ctx) {
+  if (ctx.profile != nullptr) ctx.profile->Chain(ctx.profile->last_id());
 }
 
 using exec::And;
@@ -169,17 +200,23 @@ RowSet Q4(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts)
                     Lt(AD("o", "o_orderdate"), ConstDate("1993-10-01")))));
   ob.Select({AI("o", "o_orderkey"), AS("o", "o_orderpriority")});
   RowSet orders = ob.Execute(ctx, opts);
+  const int orders_node = PlanRoot(ctx);
 
   QueryBlock lb;
   lb.AddTable(T(rel, "l", "l_orderkey",
                 Lt(AD("l", "l_commitdate"), AD("l", "l_receiptdate"))));
   lb.Select({AI("l", "l_orderkey")});
   RowSet lines = lb.Execute(ctx, opts);
+  const int lines_node = PlanRoot(ctx);
 
   RowSet matched = exec::HashJoinExec(lines, orders, {Slot(0)}, {Slot(0)},
                                       exec::JoinType::kSemi, nullptr, ctx);
+  LinkJoin(ctx, exec::JoinType::kSemi, lines, orders, lines_node, orders_node);
   RowSet agg = exec::AggregateExec(matched, {Slot(1)}, {AggSpec::CountStar()}, ctx);
-  return exec::SortExec(std::move(agg), {{Slot(0), false}}, ctx);
+  ChainLast(ctx);
+  RowSet sorted = exec::SortExec(std::move(agg), {{Slot(0), false}}, ctx);
+  ChainLast(ctx);
+  return sorted;
 }
 
 RowSet Q5(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
@@ -374,21 +411,30 @@ RowSet Q13(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                      /*negated=*/true)));
   ob.Select({AI("o", "o_custkey")});
   RowSet orders = ob.Execute(ctx, opts);
+  const int orders_node = PlanRoot(ctx);
 
   QueryBlock cb;
   cb.AddTable(T(rel, "c", "c_custkey"));
   cb.Select({AI("c", "c_custkey")});
   RowSet customers = cb.Execute(ctx, opts);
+  const int customers_node = PlanRoot(ctx);
 
   RowSet joined = exec::HashJoinExec(orders, customers, {Slot(0)}, {Slot(0)},
                                      exec::JoinType::kLeft, nullptr, ctx);
+  LinkJoin(ctx, exec::JoinType::kLeft, orders, customers, orders_node,
+           customers_node);
   // joined = [c_custkey, o_custkey-or-null]; orders per customer.
   RowSet per_customer =
       exec::AggregateExec(joined, {Slot(0)}, {AggSpec::Count(Slot(1))}, ctx);
+  ChainLast(ctx);
   // distribution of counts.
   RowSet dist = exec::AggregateExec(per_customer, {Slot(1)},
                                     {AggSpec::CountStar()}, ctx);
-  return exec::SortExec(std::move(dist), {{Slot(1), true}, {Slot(0), true}}, ctx);
+  ChainLast(ctx);
+  RowSet sorted = exec::SortExec(std::move(dist),
+                                 {{Slot(1), true}, {Slot(0), true}}, ctx);
+  ChainLast(ctx);
+  return sorted;
 }
 
 RowSet Q14(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
@@ -439,6 +485,7 @@ RowSet Q16(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                  Like(AS("s", "s_comment"), "%Customer%Complaints%")));
   bad.Select({AI("s", "s_suppkey")});
   RowSet bad_suppliers = bad.Execute(ctx, opts);
+  const int bad_node = PlanRoot(ctx);
 
   QueryBlock q;
   q.AddTable(T(rel, "p", "p_partkey",
@@ -452,15 +499,21 @@ RowSet Q16(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   q.Select({AS("p", "p_brand"), AS("p", "p_type"), AI("p", "p_size"),
             AI("ps", "ps_suppkey")});
   RowSet partsupp = q.Execute(ctx, opts);
+  const int partsupp_node = PlanRoot(ctx);
 
   RowSet kept = exec::HashJoinExec(bad_suppliers, partsupp, {Slot(0)}, {Slot(3)},
                                    exec::JoinType::kAnti, nullptr, ctx);
+  LinkJoin(ctx, exec::JoinType::kAnti, bad_suppliers, partsupp, bad_node,
+           partsupp_node);
   RowSet agg = exec::AggregateExec(kept, {Slot(0), Slot(1), Slot(2)},
                                    {AggSpec::CountDistinct(Slot(3))}, ctx);
-  return exec::SortExec(
+  ChainLast(ctx);
+  RowSet sorted = exec::SortExec(
       std::move(agg),
       {{Slot(3), true}, {Slot(0), false}, {Slot(1), false}, {Slot(2), false}},
       ctx);
+  ChainLast(ctx);
+  return sorted;
 }
 
 RowSet Q17(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
@@ -569,6 +622,7 @@ RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                      exec::Access("sq", {"qty"}, ValueType::kFloat))));
   sel.Select({AI("ps", "ps_suppkey")});
   RowSet eligible = sel.Execute(ctx, opts);
+  const int eligible_node = PlanRoot(ctx);
 
   QueryBlock sb;
   sb.AddTable(T(rel, "s", "s_suppkey"));
@@ -577,10 +631,15 @@ RowSet Q20(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   sb.AddJoin(AI("s", "s_nationkey"), AI("n", "n_nationkey"));
   sb.Select({AI("s", "s_suppkey"), AS("s", "s_name"), AS("s", "s_address")});
   RowSet canadian = sb.Execute(ctx, opts);
+  const int canadian_node = PlanRoot(ctx);
 
   RowSet result = exec::HashJoinExec(eligible, canadian, {Slot(0)}, {Slot(0)},
                                      exec::JoinType::kSemi, nullptr, ctx);
-  return exec::SortExec(std::move(result), {{Slot(1), false}}, ctx);
+  LinkJoin(ctx, exec::JoinType::kSemi, eligible, canadian, eligible_node,
+           canadian_node);
+  RowSet sorted = exec::SortExec(std::move(result), {{Slot(1), false}}, ctx);
+  ChainLast(ctx);
+  return sorted;
 }
 
 RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
@@ -589,6 +648,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   l2b.AddTable(T(rel, "l", "l_orderkey"));
   l2b.Select({AI("l", "l_orderkey"), AI("l", "l_suppkey")});
   RowSet l2 = l2b.Execute(ctx, opts);
+  const int l2_node = PlanRoot(ctx);
 
   // l3: late lineitems per order/supplier.
   QueryBlock l3b;
@@ -596,6 +656,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
                  Gt(AD("l", "l_receiptdate"), AD("l", "l_commitdate"))));
   l3b.Select({AI("l", "l_orderkey"), AI("l", "l_suppkey")});
   RowSet l3 = l3b.Execute(ctx, opts);
+  const int l3_node = PlanRoot(ctx);
 
   // l1: late lines of 'F' orders by Saudi suppliers.
   QueryBlock l1b;
@@ -611,6 +672,7 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   l1b.AddJoin(AI("s", "s_nationkey"), AI("n", "n_nationkey"));
   l1b.Select({AS("s", "s_name"), AI("l1", "l_orderkey"), AI("l1", "l_suppkey")});
   RowSet l1 = l1b.Execute(ctx, opts);
+  const int l1_node = PlanRoot(ctx);
 
   // exists l2 with same order, different supplier.
   // Combined row during probe: [probe(3): name, orderkey, suppkey,
@@ -618,14 +680,22 @@ RowSet Q21(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   RowSet with_other = exec::HashJoinExec(l2, l1, {Slot(0)}, {Slot(1)},
                                          exec::JoinType::kSemi,
                                          Ne(Slot(4), Slot(2)), ctx);
+  LinkJoin(ctx, exec::JoinType::kSemi, l2, l1, l2_node, l1_node);
+  const int with_other_node = PlanRoot(ctx);
   // not exists l3 with same order, different supplier.
   RowSet waiting = exec::HashJoinExec(l3, with_other, {Slot(0)}, {Slot(1)},
                                       exec::JoinType::kAnti,
                                       Ne(Slot(4), Slot(2)), ctx);
+  LinkJoin(ctx, exec::JoinType::kAnti, l3, with_other, l3_node,
+           with_other_node);
   RowSet agg =
       exec::AggregateExec(waiting, {Slot(0)}, {AggSpec::CountStar()}, ctx);
+  ChainLast(ctx);
   agg = exec::SortExec(std::move(agg), {{Slot(1), true}, {Slot(0), false}}, ctx);
-  return exec::LimitExec(std::move(agg), 100);
+  ChainLast(ctx);
+  agg = exec::LimitExec(std::move(agg), 100, ctx);
+  ChainLast(ctx);
+  return agg;
 }
 
 RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts) {
@@ -644,6 +714,7 @@ RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   ob.AddTable(T(rel, "o", "o_orderkey"));
   ob.Select({AI("o", "o_custkey")});
   RowSet orders = ob.Execute(ctx, opts);
+  const int orders_node = PlanRoot(ctx);
 
   QueryBlock cb;
   cb.AddTable(T(rel, "c", "c_custkey",
@@ -652,12 +723,18 @@ RowSet Q22(const TableSource& rel, QueryContext& ctx, const PlannerOptions& opts
   cb.Select({Substring(AS("c", "c_phone"), 1, 2), AF("c", "c_acctbal"),
              AI("c", "c_custkey")});
   RowSet customers = cb.Execute(ctx, opts);
+  const int customers_node = PlanRoot(ctx);
 
   RowSet no_orders = exec::HashJoinExec(orders, customers, {Slot(0)}, {Slot(2)},
                                         exec::JoinType::kAnti, nullptr, ctx);
+  LinkJoin(ctx, exec::JoinType::kAnti, orders, customers, orders_node,
+           customers_node);
   RowSet agg = exec::AggregateExec(
       no_orders, {Slot(0)}, {AggSpec::CountStar(), AggSpec::Sum(Slot(1))}, ctx);
-  return exec::SortExec(std::move(agg), {{Slot(0), false}}, ctx);
+  ChainLast(ctx);
+  RowSet sorted = exec::SortExec(std::move(agg), {{Slot(0), false}}, ctx);
+  ChainLast(ctx);
+  return sorted;
 }
 
 }  // namespace

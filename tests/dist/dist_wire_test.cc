@@ -31,6 +31,38 @@ using exec::Row;
 using exec::RowSet;
 using exec::Value;
 
+// A worker-style group table over `rows`: every key and argument
+// interpreted per row and folded through the table's batch API.
+exec::GroupTable FoldRows(const RowSet& rows,
+                          const std::vector<ExprPtr>& group_by,
+                          const std::vector<AggSpec>& aggs) {
+  exec::GroupTable table(group_by.size(), aggs.size());
+  exec::SelectionVector lanes;
+  Arena arena;
+  for (size_t b = 0; b < rows.size(); b += exec::kVectorSize) {
+    const size_t n = std::min(exec::kVectorSize, rows.size() - b);
+    lanes.SetAll(n);
+    auto eval = [&](const ExprPtr& e) {
+      std::vector<Value> values(n);
+      for (size_t k = 0; k < n; k++) {
+        values[k] = exec::EvalExpr(*e, rows[b + k].data(), &arena);
+      }
+      return values;
+    };
+    std::vector<std::vector<Value>> key_values, arg_values(aggs.size());
+    std::vector<exec::AggInput> keys, args(aggs.size());
+    for (const ExprPtr& g : group_by) key_values.push_back(eval(g));
+    for (const auto& v : key_values) keys.push_back({nullptr, v.data()});
+    for (size_t a = 0; a < aggs.size(); a++) {
+      if (aggs[a].arg == nullptr) continue;
+      arg_values[a] = eval(aggs[a].arg);
+      args[a].values = arg_values[a].data();
+    }
+    table.AddBatch(keys.data(), args.data(), aggs, lanes.idx, n);
+  }
+  return table;
+}
+
 // ---------------------------------------------------------------------------
 // Frame layer
 // ---------------------------------------------------------------------------
@@ -333,7 +365,7 @@ TEST(DistWireTest, RowBatchRoundTrip) {
 
 TEST(DistWireTest, AggPartialRoundTrip) {
   using namespace jsontiles::exec;  // NOLINT
-  // Build a real group table the way a worker does: accumulate rows.
+  // Build a real group table the way a worker does: fold rows into it.
   RowSet rows;
   rows.push_back(Row{Value::String("a"), Value::Int(1), Value::Float(1.5)});
   rows.push_back(Row{Value::String("a"), Value::Int(2), Value::Float(-0.25)});
@@ -342,9 +374,7 @@ TEST(DistWireTest, AggPartialRoundTrip) {
   std::vector<AggSpec> aggs = {AggSpec::CountStar(), AggSpec::Sum(Slot(1)),
                                AggSpec::Sum(Slot(2)), AggSpec::Min(Slot(1)),
                                AggSpec::CountDistinct(Slot(1))};
-  Arena arena;
-  AggGroupMap groups;
-  AccumulateRows(rows, group_by, aggs, &arena, &groups);
+  GroupTable groups = FoldRows(rows, group_by, aggs);
 
   std::vector<uint8_t> buf;
   EncodeAggPartial(7, /*epoch=*/2, groups, aggs, &buf);
@@ -357,13 +387,11 @@ TEST(DistWireTest, AggPartialRoundTrip) {
 
   // Merging the decoded partial into an empty table and finalizing gives the
   // same result as finalizing the original — the distributed merge contract.
-  AggGroupMap merged;
-  for (auto& [hash, group] : partial.groups) {
-    MergeGroup(&merged, hash, std::move(group), aggs);
-  }
+  GroupTable merged(group_by.size(), aggs.size());
+  merged.MergeFrom(std::move(partial.groups), aggs);
   RowSet a, b;
-  FinalizeGroups(groups, aggs, &a);
-  FinalizeGroups(merged, aggs, &b);
+  groups.Finalize(aggs, &a);
+  merged.Finalize(aggs, &b);
   auto canon = [](RowSet rows) {
     std::vector<std::string> lines;
     for (const auto& row : rows) {
@@ -500,9 +528,8 @@ std::vector<uint8_t> RealStream() {
   AppendFrame(FrameType::kRowBatch, buf, &stream);
 
   buf.clear();
-  Arena arena;
-  AggGroupMap groups;
-  AccumulateRows(rows, {Slot(0)}, {AggSpec::CountStar()}, &arena, &groups);
+  exec::GroupTable groups =
+      FoldRows(rows, {Slot(0)}, {AggSpec::CountStar()});
   EncodeAggPartial(1, /*epoch=*/1, groups, {AggSpec::CountStar()}, &buf);
   AppendFrame(FrameType::kAggResult, buf, &stream);
 

@@ -71,7 +71,9 @@ class ShardManifestTest : public ::testing::Test {
                        const std::vector<uint8_t>& bytes) {
     std::FILE* f = std::fopen(path.c_str(), "wb");
     ASSERT_NE(f, nullptr);
-    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    if (!bytes.empty()) {
+      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+    }
     std::fclose(f);
   }
 

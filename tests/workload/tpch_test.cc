@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/plan_profile.h"
 #include "storage/loader.h"
 #include "workload/tpch_queries.h"
 
@@ -165,6 +166,41 @@ TEST_F(TpchFixture, TileSkippingFiresOnCombinedData) {
   RunTpchQuery(6, Rel(StorageMode::kTiles), ctx);
   // Q6 touches only lineitem; order/customer/part tiles should be skipped.
   EXPECT_GT(ctx.tiles_skipped, 0u);
+}
+
+// EXPLAIN ANALYZE of the queries that compose blocks with hand-written
+// operators: the tree must reach every operator that ran.
+std::string ProfiledTree(int query, const Relation& rel) {
+  QueryContext ctx;
+  obs::PlanProfile profile;
+  ctx.profile = &profile;
+  RunTpchQuery(query, rel, ctx);
+  EXPECT_TRUE(ctx.ConsumeStatus().ok());
+  return profile.FormatTree();
+}
+
+size_t Occurrences(const std::string& text, const std::string& word) {
+  size_t count = 0;
+  for (size_t pos = text.find(word); pos != std::string::npos;
+       pos = text.find(word, pos + 1)) {
+    count++;
+  }
+  return count;
+}
+
+TEST_F(TpchFixture, Q4ProfileShowsSemiJoinAggregateAndSort) {
+  const std::string tree = ProfiledTree(4, Rel(StorageMode::kTiles));
+  EXPECT_EQ(tree.rfind("Sort", 0), 0u) << tree;  // the root
+  EXPECT_EQ(Occurrences(tree, "HashJoin semi"), 1u) << tree;
+  EXPECT_EQ(Occurrences(tree, "Aggregate"), 1u) << tree;
+  EXPECT_EQ(Occurrences(tree, "Scan"), 2u) << tree;
+}
+
+TEST_F(TpchFixture, Q21ProfileShowsAllFiveJoins) {
+  const std::string tree = ProfiledTree(21, Rel(StorageMode::kTiles));
+  EXPECT_EQ(Occurrences(tree, "HashJoin"), 5u) << tree;
+  EXPECT_EQ(Occurrences(tree, "Scan"), 6u) << tree;
+  EXPECT_EQ(tree.rfind("Limit", 0), 0u) << tree;
 }
 
 }  // namespace
